@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -141,7 +142,14 @@ def _finish(report: VerificationReport, results: list[tuple[str, list[dict], dic
     return report
 
 
+def _worker_count(jobs: int, n_tasks: int) -> int:
+    """Pool size for `jobs` requested workers: never more than the CPUs or
+    the tasks, since a pool starts every worker up front."""
+    return min(jobs, os.cpu_count() or 1, n_tasks)
+
+
 def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
+    jobs = _worker_count(jobs, len(tasks))
     if jobs <= 1:
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -134,6 +134,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise ParseError(f"line {lineno}: non-integer vertex index {tok!r}") from None
             if not (0 <= v < header):
                 raise ParseError(f"line {lineno}: vertex {v} out of range 0..{header - 1}")
+            if mask >> v & 1:
+                raise ParseError(f"line {lineno}: vertex {v} repeated within the edge")
             mask |= 1 << v
         if mask == 0:
             raise ParseError(f"line {lineno}: empty edge")

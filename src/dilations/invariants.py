@@ -10,6 +10,18 @@ Domination uses co-occurrence adjacency: two hypergraph vertices are
 adjacent when some hyperedge contains both. A vertex lying in no hyperedge
 can only be dominated by itself and is therefore forced into every
 dominating set.
+
+Both covering problems, gamma and tau, go through one minimum set cover
+search, which first drops dominated elements (the classic set-cover
+reduction; Weihe 1998, Fomin, Grandoni & Kratsch 2009): an element whose
+coverer set contains another element's coverer set is covered whenever that
+other element is, and of two elements with equal coverer sets the lower index
+is kept. For tau this drops every hyperedge that contains another hyperedge;
+on a gamma1 dilation of G the reduced gamma instance is vertex cover of G,
+which is how gamma(H) = tau(G) shows in the search. The reduction leaves the
+feasible covers unchanged, and a minimum cover never contains a set that adds
+nothing to the reduced universe, so the value and the lexicographically
+smallest witness are the same as without it.
 """
 
 from __future__ import annotations
@@ -74,18 +86,56 @@ class _Budget:
 
 def _greedy_cover(cover_masks: list[int], universe: int) -> list[int]:
     chosen = []
-    covered = 0
-    while covered != universe:
+    uncovered = universe
+    while uncovered:
         best_s, best_gain = -1, 0
         for s, mask in enumerate(cover_masks):
-            gain = (mask & ~covered).bit_count()
+            gain = (mask & uncovered).bit_count()
             if gain > best_gain:
                 best_s, best_gain = s, gain
         if best_s == -1:  # uncoverable element: caller guarantees this cannot happen
             raise ValueError("universe not coverable")
         chosen.append(best_s)
-        covered |= cover_masks[best_s]
+        uncovered &= ~cover_masks[best_s]
     return chosen
+
+
+def _reduce_universe(cover_masks: list[int], coverer_masks: list[int],
+                     universe: int) -> tuple[int, list[int]]:
+    """Drop dominated elements from `universe`, and give for each element the
+    elements that share a coverer with it (what `_packing_bound` blocks).
+
+    The AND of the masks of e's coverers holds the elements whose coverer set
+    contains e's, so they are covered whenever e is: e dominates them, except
+    that of two equal coverer sets the lower index is kept. Domination is
+    then a strict order, so every dropped element has a kept dominator, and
+    a cover of the reduced universe covers the whole of it.
+    """
+    union_masks = [0] * universe.bit_length()
+    dominated = 0
+    m = universe
+    while m:
+        low = m & -m
+        e = low.bit_length() - 1
+        m ^= low
+        union, common = 0, universe
+        c = coverer_masks[e]
+        while c:
+            bit = c & -c
+            c ^= bit
+            mask = cover_masks[bit.bit_length() - 1]
+            union |= mask
+            common &= mask
+        union_masks[e] = union
+        common ^= low
+        ties = common & (low - 1)
+        while ties:
+            bit = ties & -ties
+            ties ^= bit
+            if coverer_masks[bit.bit_length() - 1] == coverer_masks[e]:
+                common ^= bit
+        dominated |= common
+    return universe & ~dominated, union_masks
 
 
 def _packing_bound(union_masks: list[int], uncovered: int) -> int:
@@ -114,21 +164,18 @@ def _coverage_infeasible(cover_masks: list[int], uncovered: int, budget_sets: in
     return sum(gains) < need
 
 
-def _min_cover(cover_masks: list[int], elem_coverers: list[list[int]],
+def _min_cover(cover_masks: list[int], coverer_masks: list[int],
                universe: int,
                choose: Callable[[int], tuple[int, list[int]]],
                budget: _Budget) -> tuple[int, tuple[int, ...]]:
     """Minimum number of cover sets whose union is the universe, plus the
-    lexicographically smallest witness of that size."""
+    lexicographically smallest witness of that size.
+
+    coverer_masks[e] is the bitmask of the sets that cover element e.
+    """
     if universe == 0:
         return 0, ()
-    union_masks = [0] * (universe.bit_length())
-    for e in range(universe.bit_length()):
-        if universe >> e & 1:
-            acc = 0
-            for s in elem_coverers[e]:
-                acc |= cover_masks[s]
-            union_masks[e] = acc
+    universe, union_masks = _reduce_universe(cover_masks, coverer_masks, universe)
     greedy = _greedy_cover(cover_masks, universe)
     best_value = len(greedy)
 
@@ -241,7 +288,8 @@ def domination_number(x: Instance, mode: str = "branch_and_bound",
                        key=lambda s: (-(nbhd[s] & uncovered).bit_count(), s))
         return best_v, cands
 
-    value, witness = _min_cover(nbhd, coverers, universe, choose, budget)
+    # by that symmetry N[v] is both what v covers and the set of v's coverers
+    value, witness = _min_cover(nbhd, nbhd, universe, choose, budget)
     return Certificate("gamma", value, witness, "branch_and_bound", budget.nodes)
 
 
@@ -279,7 +327,8 @@ def transversal_number(x: Instance, mode: str = "branch_and_bound",
                        key=lambda v: (-(incidence[v] & uncovered).bit_count(), v))
         return best_i, cands
 
-    value, witness = _min_cover(incidence, edge_vertices, universe, choose, budget)
+    # the vertices of edge i are the sets that cover element i
+    value, witness = _min_cover(incidence, h.edge_masks, universe, choose, budget)
     return Certificate("tau", value, witness, "branch_and_bound", budget.nodes)
 
 

@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+from dilations import harness
 from dilations.errors import DomainError
 from dilations.harness import (FailureRecord, VerificationReport,
                                crosscheck_extremal_gamma0,
@@ -70,6 +71,16 @@ class TestDeterminism:
         b = crosscheck_extremal_gamma1(4, jobs=2)
         assert a.to_csv() == b.to_csv()
         assert a.to_json() == b.to_json()
+
+    def test_worker_count_clamped(self, monkeypatch):
+        # pure arithmetic on the pool size; no pool is started
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        assert harness._worker_count(10_000, 500) == 4
+        assert harness._worker_count(3, 500) == 3
+        assert harness._worker_count(8, 2) == 2
+        assert harness._worker_count(8, 0) == 0
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._worker_count(8, 500) == 1
 
 
 class TestReportFormats:

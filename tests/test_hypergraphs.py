@@ -65,6 +65,10 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="line 2"):
             parse_hypergraph("m 3\n0 x\n")
 
+    def test_repeated_vertex_in_edge(self):
+        with pytest.raises(ParseError, match="line 3: vertex 1 repeated"):
+            parse_hypergraph("m 3\n0 1\n1 2 1\n")
+
 
 class TestFano:
     def test_shape(self):

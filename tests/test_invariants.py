@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dilations.errors import SearchBudgetExceeded
-from dilations.graphs import (Graph, complete, complete_minus_clique,
+from dilations.graphs import (Graph, complete, complete_minus_clique, corona,
                               cp_vee_cq, cycle, g_nr, ghat_nr, star)
 from dilations.dilation import generalized_power
 from dilations.hypergraphs import Hypergraph, builtin_hypergraph
@@ -27,6 +27,28 @@ def hypergraphs(draw, max_m=9, max_edges=7):
     return Hypergraph.from_edge_sets(m, edges)
 
 
+@st.composite
+def dominance_instances(draw):
+    """Instances on which the element-dominance reduction fires: a small graph
+    raised to a generalized power, or a hypergraph with nested and repeated
+    edges (an edge containing another one is dominated for tau)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=2, max_value=5))
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                              min_size=1, max_size=6, unique=True))
+        k, s = draw(st.sampled_from([(3, 1), (4, 1), (4, 2)]))
+        h, _ = generalized_power(Graph.from_edges(n, edges), k, s)
+        return h
+    m = draw(st.integers(min_value=1, max_value=7))
+    vertex_sets = st.sets(st.integers(min_value=0, max_value=m - 1),
+                          min_size=1, max_size=min(3, m))
+    edges = draw(st.lists(vertex_sets, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        extra = draw(st.sets(st.integers(min_value=0, max_value=m - 1), max_size=2))
+        edges.append(draw(st.sampled_from(edges)) | extra)
+    return Hypergraph.from_edge_sets(m, draw(st.permutations(edges)))
+
+
 class TestAgainstOracles:
     @settings(max_examples=150, deadline=None)
     @given(h=hypergraphs())
@@ -35,8 +57,8 @@ class TestAgainstOracles:
         assert matching_number(h).value == brute_nu(h)
         assert transversal_number(h).value == brute_tau(h)
 
-    @settings(max_examples=60, deadline=None)
-    @given(h=hypergraphs(max_m=7, max_edges=6))
+    @settings(max_examples=120, deadline=None)
+    @given(h=st.one_of(hypergraphs(max_m=7, max_edges=6), dominance_instances()))
     def test_modes_agree_including_witness(self, h):
         for fn in (domination_number, matching_number, transversal_number):
             bb = fn(h)
@@ -73,8 +95,8 @@ class TestWitnesses:
             assert check_certificate(h, cert)
             assert len(cert.witness) == cert.value
 
-    @settings(max_examples=40, deadline=None)
-    @given(h=hypergraphs(max_m=6, max_edges=5))
+    @settings(max_examples=80, deadline=None)
+    @given(h=st.one_of(hypergraphs(max_m=6, max_edges=5), dominance_instances()))
     def test_witness_is_lex_smallest(self, h):
         gamma = domination_number(h)
         assert gamma.witness == _lex_min_cover_witness(h, "gamma", gamma.value)
@@ -208,6 +230,21 @@ class TestHereditarySamples:
             gamma_h = domination_number(h).value
             assert gamma_g <= gamma_h <= transversal_number(g).value
             pairs += 1
+
+
+class TestGamma1BlowUps:
+    # the witnesses are pinned from an uncapped search without element
+    # dominance, which took 3.0M nodes (C31) and 13.5M nodes (corona(C13))
+    @pytest.mark.parametrize("g, k, s, witness", [
+        (cycle(31), 4, 1, (0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29)),
+        (corona(cycle(13)), 5, 2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    ], ids=["C31_4_1", "corona_C13_5_2"])
+    def test_gamma_equals_tau_of_support_within_small_cap(self, g, k, s, witness):
+        h, _ = generalized_power(g, k, s)
+        cert = domination_number(h, node_cap=10_000)
+        assert cert.value == transversal_number(g).value
+        assert check_certificate(h, cert)
+        assert cert.witness == witness
 
 
 class TestBudget:
