@@ -100,6 +100,19 @@ class SystemExit2(Exception):
     """Usage error carrying exit code 2."""
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
@@ -136,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["text", "json", "csv"], default="text")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+    common.add_argument("--node-cap", type=_int_at_least(1), default=DEFAULT_NODE_CAP)
     common.add_argument("--no-timestamp", action="store_true")
     common.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -202,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--max-n", type=int)
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_int_at_least(0), default=1)
     return parser
 
 
@@ -414,12 +427,12 @@ def _cmd_verify(args, out: _Output):
             scale = min(scale, _SUITE_CAPS[name])  # suites have different caps
         kwargs = {"node_cap": args.node_cap, "jobs": args.jobs}
         if name == "hereditary":
-            kwargs.update(max_n=scale or 5, samples_per_graph=args.samples,
-                          seed=args.seed)
+            kwargs.update(max_n=5 if scale is None else scale,
+                          samples_per_graph=args.samples, seed=args.seed)
         elif name in ("extremal-gamma1", "extremal-gamma0"):
-            kwargs.update(max_n=scale or 6)
+            kwargs.update(max_n=6 if scale is None else scale)
         else:
-            kwargs.update(n_max=scale or 4)
+            kwargs.update(n_max=4 if scale is None else scale)
         report = fn(**kwargs)
         reports.append(report)
         if not report.ok:

@@ -235,8 +235,8 @@ def verify_hereditary(max_n: int, samples_per_graph: int = 1, seed: int = 0,
     """Check invariant preservation on every connected graph up to max_n
     vertices, over uniform, mixed, and random dilations plus general Berge
     hosts."""
-    if max_n > 7:
-        raise DomainError("hereditary suite supports max_n <= 7")
+    if not (2 <= max_n <= 7):
+        raise DomainError("hereditary suite supports 2 <= max_n <= 7")
     t0 = time.time()
     config = {"max_n": max_n, "samples_per_graph": samples_per_graph, "node_cap": node_cap}
     report = VerificationReport("hereditary", config, seed)
@@ -274,8 +274,8 @@ def crosscheck_extremal_gamma1(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
                                jobs: int = 1) -> VerificationReport:
     """gamma = nu exactly on KEG supports; gamma = 2 nu exactly on odd
     complete supports, verified by direct solves on a gamma1 dilation."""
-    if max_n > 7:
-        raise DomainError("extremal-gamma1 suite supports max_n <= 7")
+    if not (2 <= max_n <= 7):
+        raise DomainError("extremal-gamma1 suite supports 2 <= max_n <= 7")
     t0 = time.time()
     report = VerificationReport("extremal-gamma1", {"max_n": max_n, "node_cap": node_cap}, None)
     tasks = [(g, f"n{g.n}:{canonical_form(g)}", node_cap) for g in _graphs_with_edges(max_n)]
@@ -316,8 +316,8 @@ def crosscheck_extremal_gamma0(max_n: int, nb_list=None,
     """gamma = nu on a gamma0 dilation exactly when the support graph belongs
     to the union of the three characterization families. Mismatches routed
     through the behaviorally-derived component condition are soft."""
-    if max_n > 8:
-        raise DomainError("extremal-gamma0 suite supports max_n <= 8")
+    if not (2 <= max_n <= 8):
+        raise DomainError("extremal-gamma0 suite supports 2 <= max_n <= 8")
     from .families import load_g2nb_candidates
     if nb_list is None:
         nb_list = load_g2nb_candidates()

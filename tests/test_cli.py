@@ -239,5 +239,21 @@ class TestExitCodes:
                                "--node-cap", "3")
         assert code == 3 and "timeout" in err
 
+    @pytest.mark.parametrize("suite", ["hereditary", "extremal-gamma1",
+                                       "extremal-gamma0", "nonextremal", "all"])
+    @pytest.mark.parametrize("max_n", ["0", "1"])
+    def test_verify_scale_below_two_is_usage_error(self, capsys, suite, max_n):
+        code, out, err = run_cli(capsys, "verify", suite, "--max-n", max_n)
+        assert code == 2 and "2 <=" in err and "PASS" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ("invariant", "--param", "nu", "--family", "cycle:5", "--node-cap", "-1"),
+        ("invariant", "--param", "nu", "--family", "cycle:5", "--node-cap", "0"),
+        ("verify", "counterexample", "--max-n", "2", "--samples", "-1"),
+    ])
+    def test_bad_count_argument_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "timeout" not in err
+
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2

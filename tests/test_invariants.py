@@ -247,6 +247,16 @@ class TestGamma1BlowUps:
         assert cert.witness == witness
 
 
+    def test_nu_equals_nu_of_support_within_small_cap(self):
+        # pinned from an uncapped search bounded only by the count of distinct
+        # lowest vertices, which took 98,319 nodes
+        h, _ = generalized_power(cycle(31), 4, 1)
+        cert = matching_number(h, node_cap=1_000)
+        assert cert.value == matching_number(cycle(31)).value == 15
+        assert check_certificate(h, cert)
+        assert cert.witness == (0, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29)
+
+
 class TestBudget:
     def test_node_cap_raises(self):
         h, _ = generalized_power(complete(8), 4, 1)
