@@ -27,7 +27,7 @@ from .families import (derive_g2nb_candidates, extremal_class_gamma1,
                        union_family_member)
 from .graphs import (Graph, graph_from_family_string, parse_edge_list,
                      parse_graph6, to_edge_list, to_graph6)
-from .harness import SUITES
+from .harness import SUITE_SCALES, SUITES
 from .hypergraphs import (Hypergraph, builtin_hypergraph, parse_hypergraph,
                           to_hypergraph_text)
 from .invariants import (DEFAULT_NODE_CAP, domination_number, is_keg,
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json", "csv"], default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=_int_at_least(1), default=1)
     common.add_argument("--node-cap", type=_int_at_least(1), default=DEFAULT_NODE_CAP)
     common.add_argument("--no-timestamp", action="store_true")
     common.add_argument("--out", help="write output to this path instead of stdout")
@@ -411,29 +411,18 @@ def _cmd_derive_nb(args, out: _Output):
     return 0
 
 
-_SUITE_CAPS = {"hereditary": 7, "extremal-gamma1": 7, "extremal-gamma0": 8,
-               "nonextremal": 6, "counterexample": 5}
-
-
 def _cmd_verify(args, out: _Output):
     run_all = args.suite == "all"
     names = sorted(SUITES) if run_all else [args.suite]
     exit_code = 0
     reports = []
     for name in names:
-        fn = SUITES[name]
-        scale = args.max_n
-        if scale is not None and run_all:
-            scale = min(scale, _SUITE_CAPS[name])  # suites have different caps
-        kwargs = {"node_cap": args.node_cap, "jobs": args.jobs}
-        if name == "hereditary":
-            kwargs.update(max_n=5 if scale is None else scale,
-                          samples_per_graph=args.samples, seed=args.seed)
-        elif name in ("extremal-gamma1", "extremal-gamma0"):
-            kwargs.update(max_n=6 if scale is None else scale)
-        else:
-            kwargs.update(n_max=4 if scale is None else scale)
-        report = fn(**kwargs)
+        spec = SUITE_SCALES[name]
+        scale = spec.default if args.max_n is None else args.max_n
+        if run_all:
+            scale = min(scale, spec.cap)  # suites have different caps
+        extra = (args.samples, args.seed) if name == "hereditary" else ()
+        report = SUITES[name](scale, *extra, args.node_cap, args.jobs)
         reports.append(report)
         if not report.ok:
             exit_code = 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConstraintError, DomainError, FeasibilityError, WitnessError
-from .graphs import Graph
+from .graphs import Graph, _mask
 from .hypergraphs import Hypergraph
 
 
@@ -94,31 +94,13 @@ class BlockWitness:
             raise WitnessError("witness vertex blocks do not match the graph")
         if len(self.edge_blocks) != len(edges) or len(self.edge_map) != len(edges):
             raise WitnessError("witness edge blocks do not match the graph")
-        if sorted(self.edge_map) != list(range(h.edge_count)):
-            raise WitnessError("edge correspondence is not a bijection onto the hyperedges")
-        block_masks = []
+        self.validate_shape(h)
         for v in range(n):
             if self.support_map[v] not in self.copy_blocks[v]:
                 raise WitnessError(f"support vertex of {v} missing from its copy block")
-            mask = 0
-            for x in self.copy_blocks[v]:
-                mask |= 1 << x
-            block_masks.append(mask)
-        edge_block_masks = []
-        for i, blk in enumerate(self.edge_blocks):
-            mask = 0
-            for x in blk:
-                mask |= 1 << x
-            edge_block_masks.append(mask)
-        union = 0
-        for mask in block_masks + edge_block_masks:
-            if union & mask:
-                raise WitnessError("blocks are not pairwise disjoint")
-            union |= mask
-        if union != (1 << h.m) - 1:
-            raise WitnessError("blocks do not partition the hypergraph vertex set")
+        block_masks = [_mask(blk) for blk in self.copy_blocks]
         for i, (u, v) in enumerate(edges):
-            expected = block_masks[u] | block_masks[v] | edge_block_masks[i]
+            expected = block_masks[u] | block_masks[v] | _mask(self.edge_blocks[i])
             if h.edge_masks[self.edge_map[i]] != expected:
                 raise WitnessError(f"hyperedge for graph edge {(u, v)} is not the union of its blocks")
         for v in range(n):
@@ -132,23 +114,19 @@ class BlockWitness:
                     raise WitnessError(f"additional vertex {x} has degree {h.degree(x)}, expected 1")
 
     def validate_shape(self, h: Hypergraph) -> None:
-        """Graph-free consistency: blocks partition V(H) and compose the
-        hyperedges. Full validation (degree conditions) needs the graph."""
+        """Graph-free consistency: the edge correspondence is a bijection
+        onto the hyperedges and the blocks partition V(H). Full validation
+        (block unions, degree conditions) needs the graph."""
         if len(self.edge_blocks) != len(self.edge_map):
             raise WitnessError("edge blocks and edge correspondence differ in length")
         if sorted(self.edge_map) != list(range(h.edge_count)):
             raise WitnessError("edge correspondence is not a bijection onto the hyperedges")
         union = 0
-        masks = []
-        for blocks in (self.copy_blocks, self.edge_blocks):
-            for blk in blocks:
-                mask = 0
-                for x in blk:
-                    mask |= 1 << x
-                if union & mask:
-                    raise WitnessError("blocks are not pairwise disjoint")
-                union |= mask
-                masks.append(mask)
+        for blk in (*self.copy_blocks, *self.edge_blocks):
+            mask = _mask(blk)
+            if union & mask:
+                raise WitnessError("blocks are not pairwise disjoint")
+            union |= mask
         if union != (1 << h.m) - 1:
             raise WitnessError("blocks do not partition the hypergraph vertex set")
 
@@ -188,18 +166,9 @@ def dilate(g: Graph, spec: DilationSpec) -> tuple[Hypergraph, BlockWitness]:
             block.append(nxt)
             nxt += 1
         edge_blocks.append(tuple(block))
-    block_masks = []
-    for block in copy_blocks:
-        mask = 0
-        for x in block:
-            mask |= 1 << x
-        block_masks.append(mask)
-    hyperedges = []
-    for i, (u, v) in enumerate(edges):
-        mask = block_masks[u] | block_masks[v]
-        for x in edge_blocks[i]:
-            mask |= 1 << x
-        hyperedges.append(mask)
+    block_masks = [_mask(block) for block in copy_blocks]
+    hyperedges = [block_masks[u] | block_masks[v] | _mask(edge_blocks[i])
+                  for i, (u, v) in enumerate(edges)]
     h = Hypergraph(nxt, hyperedges)
     witness = BlockWitness(
         support_map=tuple(range(g.n)),
@@ -254,9 +223,7 @@ def check_dilation_properties(g: Graph, h: Hypergraph, w: BlockWitness) -> Dilat
     """Check the four dilation facts: two supports per hyperedge, adjacency of
     supports matches, edge disjointness matches, connectivity matches."""
     w.validate(g, h)
-    support_mask = 0
-    for x in w.support_map:
-        support_mask |= 1 << x
+    support_mask = _mask(w.support_map)
 
     two_supports = all((e & support_mask).bit_count() == 2 for e in h.edge_masks)
 

@@ -91,6 +91,8 @@ def derive_g2nb_candidates(max_n: int) -> list[Graph]:
     """All connected non-bipartite min-degree-2 graphs on at most max_n
     vertices with equal domination and matching numbers, one per isomorphism
     class, in deterministic order."""
+    if max_n < 3:
+        raise DomainError(f"derivation requires max_n >= 3, got {max_n}")
     if max_n > NB_DERIVATION_CAP:
         raise CapacityError(f"derivation is capped at n = {NB_DERIVATION_CAP}, got {max_n}")
     out = []

@@ -155,6 +155,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def _mask_to_list(mask: int) -> list[int]:
     out = []
     while mask:

@@ -20,6 +20,11 @@ Suites:
                     between the extremes (and below the matching number)
   counterexample    K_{2,n} realizes gamma = nu on gamma0 dilations while
                     lying only in the bipartite family
+
+SUITE_SCALES gives each suite its largest supported scale and the scale the
+CLI runs by default. Each public suite function builds its config and task
+list; one driver checks the scale against the table, runs the tasks serially
+or in a process pool, and tallies the results into a VerificationReport.
 """
 
 from __future__ import annotations
@@ -32,13 +37,15 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .berge import random_berge
 from .dilation import (DilationClass, DilationSpec, RankDeficitWarning,
                        classify_dilation, dilate, generalized_power,
                        random_dilation)
 from .errors import DomainError
+from .families import (in_family_g1, in_family_g2b, in_family_g2nb,
+                       load_g2nb_candidates, union_family_member)
 from .graphs import Graph, complete, complete_bipartite, complete_minus_clique, \
     cycle, g_nr, ghat_nr
 from .invariants import (DEFAULT_NODE_CAP, domination_number, is_keg,
@@ -128,9 +135,38 @@ class VerificationReport:
     _instance_keys: list[str] = field(default_factory=list, init=False, repr=False)
 
 
-def _finish(report: VerificationReport, results: list[tuple[str, list[dict], dict, bool]],
-            t0: float) -> VerificationReport:
+class SuiteScale(NamedTuple):
+    """Scale policy of one suite."""
+    param: str    # name of the scale parameter: "max_n" or "n_max"
+    cap: int      # largest supported scale
+    default: int  # scale the CLI runs when --max-n is not given
+
+
+SUITE_SCALES = {
+    "hereditary": SuiteScale("max_n", 7, 5),
+    "extremal-gamma1": SuiteScale("max_n", 7, 6),
+    "extremal-gamma0": SuiteScale("max_n", 8, 6),
+    "nonextremal": SuiteScale("n_max", 6, 4),
+    "counterexample": SuiteScale("n_max", 5, 4),
+}
+
+
+def _run_suite(suite: str, scale: int, config: dict, worker: Callable,
+               tasks: Iterable, jobs: int, seed: Optional[int] = None,
+               extra_rows: Optional[Callable[[list], list]] = None) -> VerificationReport:
+    """Check `scale` against the suite's table entry, then run `tasks` and
+    tally the results, sorted by instance key, into a report. `tasks` is
+    iterated only after the check, so a generator builds no task for an
+    unsupported scale. `extra_rows` derives further rows from all results."""
+    spec = SUITE_SCALES[suite]
+    if not 2 <= scale <= spec.cap:
+        raise DomainError(f"{suite} suite supports 2 <= {spec.param} <= {spec.cap}")
+    t0 = time.perf_counter()
+    results = _run_tasks(list(tasks), worker, jobs)
+    if extra_rows is not None:
+        results += extra_rows(results)
     results.sort(key=lambda r: r[0])
+    report = VerificationReport(suite, {spec.param: scale, **config}, seed)
     report._instance_keys = [r[0] for r in results]
     report.instance_count = len(results)
     for key, checks, certs, soft in results:
@@ -138,7 +174,7 @@ def _finish(report: VerificationReport, results: list[tuple[str, list[dict], dic
             report.failures.append(FailureRecord(key, tuple(checks), certs, soft))
         else:
             report.pass_count += 1
-    report.wall_time = time.time() - t0
+    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -149,16 +185,25 @@ def _worker_count(jobs: int, n_tasks: int) -> int:
 
 
 def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
+    """Run `worker` on every task, with RankDeficitWarning silenced: the
+    suites build rank-deficient dilations on purpose. The filter is scoped
+    to the run, so the caller's warning settings are left as they were."""
     jobs = _worker_count(jobs, len(tasks))
     if jobs <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficitWarning)
+            return [worker(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=warnings.simplefilter,
+                             initargs=("ignore", RankDeficitWarning)) as pool:
         return list(pool.map(worker, tasks, chunksize=1))
 
 
-def _graphs_with_edges(max_n: int):
+def _graph_tasks(max_n: int, *shared):
+    """One task per connected graph on 2..max_n vertices: the graph, its
+    instance key, then `shared`."""
     for n in range(2, max_n + 1):
-        yield from enumerate_connected(n)
+        for g in enumerate_connected(n):
+            yield (g, f"n{g.n}:{canonical_form(g)}", *shared)
 
 
 def _check(checks: list, name: str, expected, got):
@@ -170,7 +215,6 @@ def _check(checks: list, name: str, expected, got):
 
 def _hereditary_worker(task) -> tuple[str, list[dict], dict, bool]:
     g, key, seed, samples, node_cap = task
-    warnings.simplefilter("ignore", RankDeficitWarning)
     gamma_g = domination_number(g, node_cap=node_cap)
     nu_g = matching_number(g, node_cap=node_cap)
     tau_g = transversal_number(g, node_cap=node_cap)
@@ -235,24 +279,16 @@ def verify_hereditary(max_n: int, samples_per_graph: int = 1, seed: int = 0,
     """Check invariant preservation on every connected graph up to max_n
     vertices, over uniform, mixed, and random dilations plus general Berge
     hosts."""
-    if not (2 <= max_n <= 7):
-        raise DomainError("hereditary suite supports 2 <= max_n <= 7")
-    t0 = time.time()
-    config = {"max_n": max_n, "samples_per_graph": samples_per_graph, "node_cap": node_cap}
-    report = VerificationReport("hereditary", config, seed)
-    tasks = []
-    for g in _graphs_with_edges(max_n):
-        key = f"n{g.n}:{canonical_form(g)}"
-        tasks.append((g, key, seed, samples_per_graph, node_cap))
-    results = _run_tasks(tasks, _hereditary_worker, jobs)
-    return _finish(report, results, t0)
+    return _run_suite("hereditary", max_n,
+                      {"samples_per_graph": samples_per_graph, "node_cap": node_cap},
+                      _hereditary_worker, _graph_tasks(max_n, seed, samples_per_graph, node_cap),
+                      jobs, seed=seed)
 
 
 # -- extremal gamma1 suite -------------------------------------------------------
 
 def _gamma1_worker(task) -> tuple[str, list[dict], dict, bool]:
     g, key, node_cap = task
-    warnings.simplefilter("ignore", RankDeficitWarning)
     h, _ = generalized_power(g, 4, 1)
     gamma_h = domination_number(h, node_cap=node_cap)
     nu_h = matching_number(h, node_cap=node_cap)
@@ -274,23 +310,14 @@ def crosscheck_extremal_gamma1(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
                                jobs: int = 1) -> VerificationReport:
     """gamma = nu exactly on KEG supports; gamma = 2 nu exactly on odd
     complete supports, verified by direct solves on a gamma1 dilation."""
-    if not (2 <= max_n <= 7):
-        raise DomainError("extremal-gamma1 suite supports 2 <= max_n <= 7")
-    t0 = time.time()
-    report = VerificationReport("extremal-gamma1", {"max_n": max_n, "node_cap": node_cap}, None)
-    tasks = [(g, f"n{g.n}:{canonical_form(g)}", node_cap) for g in _graphs_with_edges(max_n)]
-    results = _run_tasks(tasks, _gamma1_worker, jobs)
-    return _finish(report, results, t0)
+    return _run_suite("extremal-gamma1", max_n, {"node_cap": node_cap}, _gamma1_worker,
+                      _graph_tasks(max_n, node_cap), jobs)
 
 
 # -- extremal gamma0 suite ---------------------------------------------------------
 
 def _gamma0_worker(task) -> tuple[str, list[dict], dict, bool]:
-    g, key, node_cap, nb_codes = task
-    warnings.simplefilter("ignore", RankDeficitWarning)
-    from .families import union_family_member
-    from .graphs import parse_graph6
-    nb_list = [parse_graph6(c) for c in nb_codes]
+    g, key, node_cap, nb_list = task
     h, _ = generalized_power(g, 4, 2)
     gamma_h = domination_number(h, node_cap=node_cap)
     nu_h = matching_number(h, node_cap=node_cap)
@@ -310,33 +337,21 @@ def _gamma0_worker(task) -> tuple[str, list[dict], dict, bool]:
     return key, checks, certs, soft
 
 
-def crosscheck_extremal_gamma0(max_n: int, nb_list=None,
-                               node_cap: int = DEFAULT_NODE_CAP,
+def crosscheck_extremal_gamma0(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
                                jobs: int = 1) -> VerificationReport:
     """gamma = nu on a gamma0 dilation exactly when the support graph belongs
     to the union of the three characterization families. Mismatches routed
     through the behaviorally-derived component condition are soft."""
-    if not (2 <= max_n <= 8):
-        raise DomainError("extremal-gamma0 suite supports 2 <= max_n <= 8")
-    from .families import load_g2nb_candidates
-    if nb_list is None:
-        nb_list = load_g2nb_candidates()
-    nb_codes = tuple(canonical_form(g) for g in nb_list)
-    t0 = time.time()
-    report = VerificationReport("extremal-gamma0",
-                                {"max_n": max_n, "node_cap": node_cap,
-                                 "nb_candidates": len(nb_codes)}, None)
-    tasks = [(g, f"n{g.n}:{canonical_form(g)}", node_cap, nb_codes)
-             for g in _graphs_with_edges(max_n)]
-    results = _run_tasks(tasks, _gamma0_worker, jobs)
-    return _finish(report, results, t0)
+    nb_list = load_g2nb_candidates()
+    return _run_suite("extremal-gamma0", max_n,
+                      {"node_cap": node_cap, "nb_candidates": len(nb_list)},
+                      _gamma0_worker, _graph_tasks(max_n, node_cap, nb_list), jobs)
 
 
 # -- nonextremal suite ---------------------------------------------------------------
 
 def _nonextremal_worker(task) -> tuple[str, list[dict], dict, bool]:
     kind, n, r, node_cap = task
-    warnings.simplefilter("ignore", RankDeficitWarning)
     checks: list[dict] = []
     certs: dict = {}
 
@@ -381,36 +396,29 @@ def _nonextremal_worker(task) -> tuple[str, list[dict], dict, bool]:
     return key, checks, certs, False
 
 
-def verify_nonextremal(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
-                       jobs: int = 1) -> VerificationReport:
-    """The constructions realizing each value of gamma strictly between the
-    extremes: odd cycles, complete graphs, clique-deleted complete graphs,
-    and the amalgamated triangle families; plus a coverage check that every
-    target value is realized."""
-    if not (2 <= n_max <= 6):
-        raise DomainError("nonextremal suite supports 2 <= n_max <= 6")
-    t0 = time.time()
-    report = VerificationReport("nonextremal", {"n_max": n_max, "node_cap": node_cap}, None)
-    tasks = []
+def _nonextremal_tasks(n_max: int, node_cap: int):
     for n in range(2, n_max + 1):
-        tasks.append(("odd-cycle", n, 0, node_cap))
-        tasks.append(("complete-gamma1", n, 0, node_cap))
-        tasks.append(("complete-gamma0", n, 0, node_cap))
+        yield ("odd-cycle", n, 0, node_cap)
+        yield ("complete-gamma1", n, 0, node_cap)
+        yield ("complete-gamma0", n, 0, node_cap)
         for r in range(2, n):
-            tasks.append(("clique-deleted", n, r, node_cap))
+            yield ("clique-deleted", n, r, node_cap)
         if n > 2:
             for r in range(1, (n - 1) // 2 + 1):
-                tasks.append(("triangle-family", n, r, node_cap))
-                tasks.append(("triangle-family-hat", n, r, node_cap))
-    results = _run_tasks(tasks, _nonextremal_worker, jobs)
+                yield ("triangle-family", n, r, node_cap)
+                yield ("triangle-family-hat", n, r, node_cap)
 
-    # coverage from the measured values: every m in [1, n-1] u [n+1, 2n-1]
-    # must be realized by some instance whose matching number really is n
+
+def _coverage_rows(results: list, n_max: int) -> list:
+    """One row per n, from the measured values: every m in [1, n-1] u
+    [n+1, 2n-1] must be realized by some instance whose matching number
+    really is n."""
     realized: dict[int, set[int]] = {n: set() for n in range(2, n_max + 1)}
     for key, _checks, certs, _soft in results:
         n = int(key[1:key.index(":")])
         if certs.get("nu_H", {}).get("value") == n:
             realized[n].add(certs["gamma_H"]["value"])
+    rows = []
     for n in range(2, n_max + 1):
         target = set(range(1, n)) | set(range(n + 1, 2 * n))
         missing = sorted(target - realized[n])
@@ -418,18 +426,25 @@ def verify_nonextremal(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
         if missing:
             checks.append({"check": "coverage", "expected": "all m realized",
                            "got": f"missing {missing}"})
-        results.append((f"n{n}:coverage", checks, {}, False))
-    return _finish(report, results, t0)
+        rows.append((f"n{n}:coverage", checks, {}, False))
+    return rows
+
+
+def verify_nonextremal(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
+                       jobs: int = 1) -> VerificationReport:
+    """The constructions realizing each value of gamma strictly between the
+    extremes: odd cycles, complete graphs, clique-deleted complete graphs,
+    and the amalgamated triangle families; plus a coverage check that every
+    target value is realized."""
+    return _run_suite("nonextremal", n_max, {"node_cap": node_cap}, _nonextremal_worker,
+                      _nonextremal_tasks(n_max, node_cap), jobs,
+                      extra_rows=lambda results: _coverage_rows(results, n_max))
 
 
 # -- counterexample suite ------------------------------------------------------------------
 
 def _counterexample_worker(task) -> tuple[str, list[dict], dict, bool]:
-    n, node_cap, nb_codes = task
-    warnings.simplefilter("ignore", RankDeficitWarning)
-    from .families import in_family_g1, in_family_g2b, in_family_g2nb
-    from .graphs import parse_graph6
-    nb_list = [parse_graph6(c) for c in nb_codes]
+    n, node_cap, nb_list = task
     g = complete_bipartite(2, n)
     h, _ = generalized_power(g, 4, 2)
     gamma_h = domination_number(h, node_cap=node_cap)
@@ -448,15 +463,9 @@ def verify_counterexample(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
                     jobs: int = 1) -> VerificationReport:
     """K_{2,n} attains gamma = nu on gamma0 dilations while belonging to the
     bipartite family only, refuting any characterization that omits it."""
-    if not (2 <= n_max <= 5):
-        raise DomainError("counterexample suite supports 2 <= n_max <= 5")
-    from .families import load_g2nb_candidates
-    nb_codes = tuple(canonical_form(g) for g in load_g2nb_candidates())
-    t0 = time.time()
-    report = VerificationReport("counterexample", {"n_max": n_max, "node_cap": node_cap}, None)
-    tasks = [(n, node_cap, nb_codes) for n in range(2, n_max + 1)]
-    results = _run_tasks(tasks, _counterexample_worker, jobs)
-    return _finish(report, results, t0)
+    nb_list = load_g2nb_candidates()
+    return _run_suite("counterexample", n_max, {"node_cap": node_cap}, _counterexample_worker,
+                      ((n, node_cap, nb_list) for n in range(2, n_max + 1)), jobs)
 
 
 SUITES = {

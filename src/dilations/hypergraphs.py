@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .graphs import Graph, _mask_to_list
+from .graphs import Graph, _mask, _mask_to_list
 
 
 class Hypergraph:
@@ -37,13 +37,7 @@ class Hypergraph:
 
     @classmethod
     def from_edge_sets(cls, m: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        masks = []
-        for edge in edges:
-            mask = 0
-            for v in edge:
-                mask |= 1 << v
-            masks.append(mask)
-        return cls(m, masks)
+        return cls(m, [_mask(edge) for edge in edges])
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Hypergraph":

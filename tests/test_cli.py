@@ -250,10 +250,17 @@ class TestExitCodes:
         ("invariant", "--param", "nu", "--family", "cycle:5", "--node-cap", "-1"),
         ("invariant", "--param", "nu", "--family", "cycle:5", "--node-cap", "0"),
         ("verify", "counterexample", "--max-n", "2", "--samples", "-1"),
+        ("verify", "counterexample", "--max-n", "2", "--jobs", "-4"),
+        ("verify", "counterexample", "--max-n", "2", "--jobs", "0"),
     ])
     def test_bad_count_argument_is_usage_error(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "timeout" not in err
+
+    @pytest.mark.parametrize("max_n", ["2", "-2"])
+    def test_derive_nb_scale_below_three_is_usage_error(self, capsys, max_n):
+        code, out, err = run_cli(capsys, "derive-nb", "--max-n", max_n)
+        assert code == 2 and "max_n >= 3" in err and out == ""
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2

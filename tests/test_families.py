@@ -76,6 +76,11 @@ class TestG2NBDerivation:
         with pytest.raises(CapacityError):
             derive_g2nb_candidates(10)
 
+    @pytest.mark.parametrize("max_n", [2, 0, -2])
+    def test_scale_below_three(self, max_n):
+        with pytest.raises(DomainError):
+            derive_g2nb_candidates(max_n)
+
     def test_shipped_asset_matches_derivation(self, nb_list):
         derived = derive_g2nb_candidates(8)
         assert [canonical_form(g) for g in nb_list] == \

@@ -1,11 +1,15 @@
 import json
+import warnings
 
 import jsonschema
 import pytest
 
 from dilations import harness
+from dilations.dilation import DilationSpec, RankDeficitWarning, dilate
 from dilations.errors import DomainError
-from dilations.harness import (FailureRecord, VerificationReport,
+from dilations.graphs import cycle
+from dilations.harness import (SUITE_SCALES, SUITES, FailureRecord,
+                               VerificationReport,
                                crosscheck_extremal_gamma0,
                                crosscheck_extremal_gamma1, verify_counterexample,
                                verify_hereditary, verify_nonextremal)
@@ -43,15 +47,19 @@ class TestSuitesGreen:
         r = verify_counterexample(4)
         assert r.ok and r.pass_count == r.instance_count == 3
 
-    def test_scale_limits(self):
-        with pytest.raises(DomainError):
-            verify_hereditary(8)
-        with pytest.raises(DomainError):
-            crosscheck_extremal_gamma0(9)
-        with pytest.raises(DomainError):
-            verify_nonextremal(7)
-        with pytest.raises(DomainError):
-            verify_counterexample(6)
+    @pytest.mark.parametrize("suite", sorted(SUITE_SCALES))
+    def test_scale_limits(self, suite):
+        spec = SUITE_SCALES[suite]
+        for scale in (spec.cap + 1, 1):
+            with pytest.raises(DomainError, match=f"2 <= {spec.param} <= {spec.cap}"):
+                SUITES[suite](scale)
+
+    def test_rank_deficit_warning_not_silenced_for_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            verify_counterexample(2)
+            dilate(cycle(3), DilationSpec(6, (1, 1, 1), (0, 0, 0)))
+        assert sum(issubclass(w.category, RankDeficitWarning) for w in caught) == 1
 
 
 class TestDeterminism:
