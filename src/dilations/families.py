@@ -125,11 +125,17 @@ def in_family_g2nb(g: Graph, nb_list: Optional[Sequence[Graph]] = None) -> Famil
     if prof.min_degree < 2:
         return FamilyVerdict("G2NB", False,
                              {"not_applicable": f"minimum degree {prof.min_degree} < 2"})
+    index = _candidate_index(g, nb_list)
+    if index is None:
+        return FamilyVerdict("G2NB", False, {"reason": "not isomorphic to any candidate"})
+    return FamilyVerdict("G2NB", True, {"candidate_index": index})
+
+
+def _candidate_index(g: Graph, nb_list: Sequence[Graph]) -> Optional[int]:
+    """Index of the first candidate isomorphic to g, or None."""
     code = canonical_form(g)
-    for i, cand in enumerate(nb_list):
-        if g.n == cand.n and canonical_form(cand) == code:
-            return FamilyVerdict("G2NB", True, {"candidate_index": i})
-    return FamilyVerdict("G2NB", False, {"reason": "not isomorphic to any candidate"})
+    return next((i for i, cand in enumerate(nb_list)
+                 if cand.n == g.n and canonical_form(cand) == code), None)
 
 
 def is_generalized_corona(g: Graph) -> FamilyVerdict:
@@ -221,9 +227,7 @@ def _component_condition(sub: Graph, u_set: frozenset[int],
     else:
         reasons["ii"] = {"not_bipartite": True}
 
-    code = canonical_form(sub)
-    iso_index = next((i for i, cand in enumerate(nb_list)
-                      if cand.n == sub.n and canonical_form(cand) == code), None)
+    iso_index = _candidate_index(sub, nb_list)
     if iso_index is None:
         reasons["iii"] = {"not_isomorphic_to_candidates": True}
         return False, {"condition": "none", "reasons": reasons}

@@ -23,6 +23,12 @@ feasible covers unchanged, and a minimum cover never contains a set that adds
 nothing to the reduced universe, so the value and the lexicographically
 smallest witness are the same as without it.
 
+The cover search has one branching rule, the minimum-remaining-values choice
+of Knuth's Algorithm X: branch on the uncovered element with the fewest
+coverers (lowest index on ties), and try its coverers by uncovered gain, then
+by index. For gamma the coverers of v are N[v]; for tau they are the vertices
+of the edge, so on a graph tau branches on the lowest uncovered edge.
+
 The nu search keeps its candidates as one bitmask over the edges and branches
 on the lowest candidate: take it, which drops every edge meeting it, or drop
 it. Each node is bounded by a greedy transversal of the candidates (the
@@ -38,9 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .errors import SearchBudgetExceeded
+from .errors import DomainError, SearchBudgetExceeded
 from .graphs import Graph, _mask_to_list
 from .hypergraphs import Hypergraph
 
@@ -75,6 +81,11 @@ class Certificate:
 
 def _as_hypergraph(x: Instance) -> Hypergraph:
     return Hypergraph.from_graph(x) if isinstance(x, Graph) else x
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("exhaustive", "branch_and_bound"):
+        raise DomainError(f"unknown mode {mode!r}: use 'exhaustive' or 'branch_and_bound'")
 
 
 class _Budget:
@@ -175,9 +186,7 @@ def _coverage_infeasible(cover_masks: list[int], uncovered: int, budget_sets: in
 
 
 def _min_cover(cover_masks: list[int], coverer_masks: list[int],
-               universe: int,
-               choose: Callable[[int], tuple[int, list[int]]],
-               budget: _Budget) -> tuple[int, tuple[int, ...]]:
+               universe: int, budget: _Budget) -> tuple[int, tuple[int, ...]]:
     """Minimum number of cover sets whose union is the universe, plus the
     lexicographically smallest witness of that size.
 
@@ -188,6 +197,9 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
     universe, union_masks = _reduce_universe(cover_masks, coverer_masks, universe)
     greedy = _greedy_cover(cover_masks, universe)
     best_value = len(greedy)
+    coverers = [_mask_to_list(c) for c in coverer_masks]
+    # branching order: fewest coverers first, then lowest index
+    order = sorted(_mask_to_list(universe), key=lambda e: (len(coverers[e]), e))
 
     def descend(covered: int, forbidden: int, depth: int):
         # solution space of this node: covers extending the current choices and
@@ -205,8 +217,9 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
             return
         if _coverage_infeasible(cover_masks, uncovered, best_value - depth - 1):
             return
-        _, candidates = choose(uncovered)
-        usable = [s for s in candidates if not (forbidden >> s & 1)]
+        e = next(e for e in order if uncovered >> e & 1)
+        usable = sorted((s for s in coverers[e] if not (forbidden >> s & 1)),
+                        key=lambda s: (-(cover_masks[s] & uncovered).bit_count(), s))
         seen = 0
         for s in usable:
             descend(covered | cover_masks[s], forbidden | seen, depth + 1)
@@ -266,6 +279,18 @@ def _min_cover_exhaustive(cover_masks: list[int], universe: int,
     raise ValueError("universe not coverable")
 
 
+def _solve_cover(parameter: str, cover_masks: list[int], coverer_masks: list[int],
+                 universe: int, mode: str, node_cap: int) -> Certificate:
+    """The minimum cover in `mode`, as a certificate for `parameter`."""
+    _check_mode(mode)
+    budget = _Budget(node_cap)
+    if mode == "exhaustive":
+        value, witness = _min_cover_exhaustive(cover_masks, universe, budget)
+    else:
+        value, witness = _min_cover(cover_masks, coverer_masks, universe, budget)
+    return Certificate(parameter, value, witness, mode, budget.nodes)
+
+
 # -- gamma ------------------------------------------------------------------
 
 def domination_number(x: Instance, mode: str = "branch_and_bound",
@@ -274,33 +299,9 @@ def domination_number(x: Instance, mode: str = "branch_and_bound",
     to a chosen one (adjacency = co-occurrence in a hyperedge)."""
     h = _as_hypergraph(x)
     nbhd = h.closed_neighborhoods()
-    universe = (1 << h.m) - 1
-    budget = _Budget(node_cap)
-    if mode == "exhaustive":
-        value, witness = _min_cover_exhaustive(nbhd, universe, budget)
-        return Certificate("gamma", value, witness, mode, budget.nodes)
-
-    coverers = [
-        _mask_to_list(nbhd[v]) for v in range(h.m)
-    ]  # u dominates v iff u in N[v], and co-occurrence is symmetric
-
-    def choose(uncovered: int) -> tuple[int, list[int]]:
-        best_v, best_deg = -1, None
-        m = uncovered
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            d = nbhd[v].bit_count()
-            if best_deg is None or d < best_deg:
-                best_v, best_deg = v, d
-        cands = sorted(coverers[best_v],
-                       key=lambda s: (-(nbhd[s] & uncovered).bit_count(), s))
-        return best_v, cands
-
-    # by that symmetry N[v] is both what v covers and the set of v's coverers
-    value, witness = _min_cover(nbhd, nbhd, universe, choose, budget)
-    return Certificate("gamma", value, witness, "branch_and_bound", budget.nodes)
+    # u dominates v iff u in N[v], and co-occurrence is symmetric, so N[v] is
+    # both what v covers and the set of v's coverers
+    return _solve_cover("gamma", nbhd, nbhd, (1 << h.m) - 1, mode, node_cap)
 
 
 # -- tau ----------------------------------------------------------------------
@@ -318,34 +319,9 @@ def transversal_number(x: Instance, mode: str = "branch_and_bound",
                        node_cap: int = DEFAULT_NODE_CAP) -> Certificate:
     """Minimum set of vertices meeting every hyperedge."""
     h = _as_hypergraph(x)
-    n_edges = h.edge_count
-    universe = (1 << n_edges) - 1
-    incidence = _incidence(h)
-    budget = _Budget(node_cap)
-    if mode == "exhaustive":
-        value, witness = _min_cover_exhaustive(incidence, universe, budget)
-        return Certificate("tau", value, witness, mode, budget.nodes)
-
-    edge_vertices = [h.edge_vertices(i) for i in range(n_edges)]
-
-    def choose(uncovered: int) -> tuple[int, list[int]]:
-        # max-degree uncovered edge: largest total uncovered-incidence of its vertices
-        best_i, best_score = -1, -1
-        m = uncovered
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            score = sum((incidence[v] & uncovered).bit_count() for v in edge_vertices[i])
-            if score > best_score:
-                best_i, best_score = i, score
-        cands = sorted(edge_vertices[best_i],
-                       key=lambda v: (-(incidence[v] & uncovered).bit_count(), v))
-        return best_i, cands
-
     # the vertices of edge i are the sets that cover element i
-    value, witness = _min_cover(incidence, h.edge_masks, universe, choose, budget)
-    return Certificate("tau", value, witness, "branch_and_bound", budget.nodes)
+    return _solve_cover("tau", _incidence(h), h.edge_masks, (1 << h.edge_count) - 1,
+                        mode, node_cap)
 
 
 # -- nu -------------------------------------------------------------------------
@@ -354,6 +330,7 @@ def matching_number(x: Instance, mode: str = "branch_and_bound",
                     node_cap: int = DEFAULT_NODE_CAP) -> Certificate:
     """Maximum number of pairwise disjoint hyperedges; witness is a set of
     edge indices."""
+    _check_mode(mode)
     h = _as_hypergraph(x)
     masks = h.edge_masks
     n_edges = len(masks)
@@ -474,6 +451,8 @@ def check_certificate(x: Instance, cert: Certificate) -> bool:
         if not (0 <= v < h.m):
             return False
         chosen |= 1 << v
+    if chosen.bit_count() != cert.value:  # a repeated vertex
+        return False
     if cert.parameter == "tau":
         return all(e & chosen for e in h.edge_masks)
     if cert.parameter == "gamma":
@@ -499,6 +478,7 @@ class KegVerdict:
 
 def is_keg(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> KegVerdict:
     """König-Egerváry test: transversal number equals matching number."""
-    tau = transversal_number(g, node_cap=node_cap)
-    nu = matching_number(g, node_cap=node_cap)
+    h = Hypergraph.from_graph(g)
+    tau = transversal_number(h, node_cap=node_cap)
+    nu = matching_number(h, node_cap=node_cap)
     return KegVerdict(tau.value == nu.value, tau, nu)

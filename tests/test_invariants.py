@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilations.errors import SearchBudgetExceeded
+from dilations.errors import DomainError, SearchBudgetExceeded
 from dilations.graphs import (Graph, complete, complete_minus_clique, corona,
                               cp_vee_cq, cycle, g_nr, ghat_nr, star)
 from dilations.dilation import generalized_power
@@ -67,6 +67,21 @@ class TestAgainstOracles:
             assert bb.witness == ex.witness
             assert bb.mode == "branch_and_bound" and ex.mode == "exhaustive"
 
+    def test_modes_agree_on_every_small_connected_graph(self):
+        # both cover searches share one branching rule; the witness pass must
+        # still find exhaustive mode's lexicographically first cover
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                for fn in (domination_number, transversal_number):
+                    bb = fn(g)
+                    ex = fn(g, mode="exhaustive")
+                    assert (bb.value, bb.witness) == (ex.value, ex.witness), (fn, g.edges())
+
+    @pytest.mark.parametrize("fn", [domination_number, matching_number, transversal_number])
+    def test_unknown_mode_rejected(self, fn):
+        with pytest.raises(DomainError, match="exhastive"):
+            fn(cycle(4), mode="exhastive")
+
     @settings(max_examples=100, deadline=None)
     @given(h=hypergraphs())
     def test_general_inequalities(self, h):
@@ -111,6 +126,12 @@ class TestWitnesses:
         bad = Certificate("tau", cert.value, cert.witness[:-1] + (0,),
                           cert.mode, cert.node_count)
         assert not check_certificate(h, bad)
+
+    @pytest.mark.parametrize("parameter", ["gamma", "tau"])
+    def test_repeated_vertex_rejected(self, parameter):
+        # {0} covers star(3) both ways, but the witness claims two vertices
+        cert = Certificate(parameter, 2, (0, 0), "branch_and_bound", 1)
+        assert not check_certificate(star(3), cert)
 
 
 def _lex_min_cover_witness(h, parameter, value):
@@ -197,6 +218,8 @@ class TestKeg:
         assert not v.keg and v.tau.value == 3 and v.nu.value == 2
         v = is_keg(complete(5))
         assert not v.keg and v.tau.value == 4 and v.nu.value == 2
+        assert v.tau == transversal_number(complete(5))
+        assert v.nu == matching_number(complete(5))
 
     def test_koenig_on_connected_bipartite(self):
         # every connected bipartite graph satisfies tau = nu
