@@ -238,11 +238,11 @@ def _component_condition(sub: Graph, u_set: frozenset[int],
     for size in range(1, len(u_set) + 1):
         for subset in combinations(sorted(u_set), size):
             keep = [v for v in range(sub.n) if v not in subset]
-            reduced = sub.induced_subgraph(keep)
-            if domination_number(reduced).value != base_gamma:
+            reduced_gamma = domination_number(sub.induced_subgraph(keep)).value
+            if reduced_gamma != base_gamma:
                 reasons["iii"] = {"gamma_unstable_under_removal": list(subset),
                                   "gamma": base_gamma,
-                                  "gamma_after_removal": domination_number(reduced).value}
+                                  "gamma_after_removal": reduced_gamma}
                 return False, {"condition": "none", "reasons": reasons}
     return True, {"condition": "iii", "candidate_index": iso_index,
                   "attachment_set": sorted(u_set)}

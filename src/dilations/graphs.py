@@ -175,15 +175,21 @@ def _mask_to_list(mask: int) -> list[int]:
 
 def to_graph6(g: Graph) -> str:
     """Encode as a standard graph6 string (no header, no trailing newline)."""
+    return _rows_to_graph6(g.adj)
+
+
+def _rows_to_graph6(rows: Sequence[int]) -> str:
+    """graph6 string of the graph whose adjacency rows are `rows`."""
+    n = len(rows)
     chunks = []
-    if g.n <= 62:
-        chunks.append(g.n + 63)
+    if n <= 62:
+        chunks.append(n + 63)
     else:
         chunks.append(126)
-        chunks.extend([((g.n >> 12) & 63) + 63, ((g.n >> 6) & 63) + 63, (g.n & 63) + 63])
+        chunks.extend([((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     bits = []
-    for j in range(1, g.n):
-        col = g.adj[j]
+    for j in range(1, n):
+        col = rows[j]
         for i in range(j):
             bits.append(col >> i & 1)
     while len(bits) % 6:

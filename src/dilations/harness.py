@@ -50,7 +50,7 @@ from .graphs import Graph, complete, complete_bipartite, complete_minus_clique, 
     cycle, g_nr, ghat_nr
 from .invariants import (DEFAULT_NODE_CAP, domination_number, is_keg,
                          matching_number, transversal_number)
-from .isomorphism import canonical_form, enumerate_connected
+from .isomorphism import _connected_classes
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ def _graph_tasks(max_n: int, *shared):
     """One task per connected graph on 2..max_n vertices: the graph, its
     instance key, then `shared`."""
     for n in range(2, max_n + 1):
-        for g in enumerate_connected(n):
-            yield (g, f"n{g.n}:{canonical_form(g)}", *shared)
+        for cls in _connected_classes(n):
+            yield (cls.graph, f"n{n}:{cls.code}", *shared)
 
 
 def _check(checks: list, name: str, expected, got):

@@ -4,54 +4,86 @@ The canonical form is computed by equitable partition refinement with
 individualization on the first non-singleton cell. Cell-homogeneous
 partitions (every cell a clique or independent set, every cell pair joined
 completely or not at all) short-circuit the search, which keeps highly
-symmetric graphs such as complete multipartite graphs cheap.
+symmetric graphs such as complete multipartite graphs cheap. The search works
+on adjacency rows: its winning code is the tuple of canonically relabelled
+rows, and the canonical code is the graph6 string of those rows.
+
+The same search yields generators of the automorphism group. Two leaves
+with equal codes differ by an automorphism, so every leaf whose code equals
+the best one gives a generator. At a homogeneous leaf any permutation inside
+a cell is an automorphism, so the swap of each adjacent pair in a cell is a
+generator. Every leaf is visited, so these generate the whole group.
 
 Enumeration of connected graphs proceeds by vertex augmentation: every
 connected graph on n+1 vertices arises from a connected graph on n vertices
 by attaching a new vertex to a non-empty neighborhood, so augmenting class
 representatives and deduplicating by canonical form yields exactly one
-representative per isomorphism class.
+representative per isomorphism class. The first candidate of a class wins,
+and it is always the lowest neighborhood mask in its orbit under the base's
+automorphism group (a lower mask in the orbit would give an isomorphic graph
+earlier). Masks that an automorphism of the base maps to a lower mask are
+therefore skipped, which leaves the representatives unchanged.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import CapacityError
-from .graphs import Graph, _two_coloring, to_graph6
+from .graphs import Graph, _mask, _rows_to_graph6, _two_coloring
 
 ENUM_MAX_N = 9
 
+Rows = tuple[int, ...]
+Perm = tuple[int, ...]
 
-def canonical_labeling(g: Graph) -> tuple[int, ...]:
-    """Permutation placing g in canonical form: position i holds an original vertex."""
-    if g.n == 0:
-        return ()
-    best: list[Optional[tuple]] = [None, None]  # code, ordering
 
-    def code_for(order: list[int]) -> tuple:
-        pos = [0] * g.n
+def _search(adj: Rows) -> tuple[Rows, list[int], list[Perm]]:
+    """Canonical search on adjacency rows.
+
+    Returns the winning code rows, the canonical order (position i holds an
+    original vertex) and automorphism generators (perm[v] is the image of v).
+    """
+    n = len(adj)
+    best_code: Optional[Rows] = None
+    best_order: list[int] = []
+    generators: list[Perm] = []
+
+    def leaf(cells: list[list[int]]) -> None:
+        nonlocal best_code, best_order
+        order = [v for cell in cells for v in cell]
+        pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
-        rows = [0] * g.n
-        for v in range(g.n):
-            m = g.adj[v]
+        rows = [0] * n
+        for v in range(n):
+            m = adj[v]
             acc = 0
             while m:
                 low = m & -m
                 acc |= 1 << pos[low.bit_length() - 1]
                 m ^= low
             rows[pos[v]] = acc
-        return tuple(rows)
+        code = tuple(rows)
+        if best_code is None or code < best_code:
+            best_code, best_order = code, order
+        elif code == best_code:
+            perm = [0] * n
+            for u, v in zip(best_order, order):
+                perm[u] = v
+            generators.append(tuple(perm))
+        if len(cells) < n:  # homogeneous: a swap inside a cell is an automorphism
+            for cell in cells:
+                for u, v in zip(cell, cell[1:]):
+                    perm = list(range(n))
+                    perm[u], perm[v] = v, u
+                    generators.append(tuple(perm))
 
-    def search(cells: list[list[int]]):
-        cells = _refine(g, cells)
-        if all(len(c) == 1 for c in cells) or _homogeneous(g, cells):
-            order = [v for cell in cells for v in cell]
-            code = code_for(order)
-            if best[0] is None or code < best[0]:
-                best[0], best[1] = code, order
+    def search(cells: list[list[int]]) -> None:
+        cells = _refine(adj, cells)
+        if all(len(c) == 1 for c in cells) or _homogeneous(adj, cells):
+            leaf(cells)
             return
         target = next(i for i, c in enumerate(cells) if len(c) > 1)
         for v in cells[target]:
@@ -60,24 +92,21 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
                         + cells[target + 1:])
             search(branched)
 
-    degs = g.degrees()
-    by_degree: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_degree.setdefault(degs[v], []).append(v)
-    initial = [by_degree[d] for d in sorted(by_degree)]
-    search(initial)
-    return tuple(best[1])
+    if n == 0:
+        return (), [], []
+    search([list(range(n))])
+    return best_code, best_order, generators
 
 
-def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
+def canonical_labeling(g: Graph) -> tuple[int, ...]:
+    """Permutation placing g in canonical form: position i holds an original vertex."""
+    return tuple(_search(g.adj)[1])
+
+
+def _refine(adj: Rows, cells: list[list[int]]) -> list[list[int]]:
     """Equitable refinement: split cells by neighbor counts into every cell."""
     while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
+        masks = [_mask(cell) for cell in cells]
         new_cells: list[list[int]] = []
         changed = False
         for cell in cells:
@@ -86,7 +115,8 @@ def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
                 continue
             keyed: dict[tuple, list[int]] = {}
             for v in cell:
-                key = tuple((g.adj[v] & m).bit_count() for m in masks)
+                row = adj[v]
+                key = tuple([(row & m).bit_count() for m in masks])
                 keyed.setdefault(key, []).append(v)
             if len(keyed) == 1:
                 new_cells.append(cell)
@@ -99,30 +129,25 @@ def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
             return cells
 
 
-def _homogeneous(g: Graph, cells: list[list[int]]) -> bool:
+def _homogeneous(adj: Rows, cells: list[list[int]]) -> bool:
     """True if any within-cell ordering yields the same adjacency code.
 
     Assumes an equitable partition (as produced by _refine), so per-cell
     neighbor counts are uniform and checking one value per vertex suffices.
     """
-    masks = []
-    for cell in cells:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        masks.append(m)
+    masks = [_mask(cell) for cell in cells]
     for i, cell in enumerate(cells):
         size = len(cell)
         if size > 1:
             inner = size - 1
             for v in cell:
-                d = (g.adj[v] & masks[i]).bit_count()
+                d = (adj[v] & masks[i]).bit_count()
                 if d != 0 and d != inner:
                     return False
         for j in range(i + 1, len(cells)):
             other = len(cells[j])
             for v in cell:
-                d = (g.adj[v] & masks[j]).bit_count()
+                d = (adj[v] & masks[j]).bit_count()
                 if d != 0 and d != other:
                     return False
     return True
@@ -131,11 +156,7 @@ def _homogeneous(g: Graph, cells: list[list[int]]) -> bool:
 @lru_cache(maxsize=65536)
 def canonical_form(g: Graph) -> str:
     """Canonical code: the graph6 string of the canonically relabeled graph."""
-    order = canonical_labeling(g)
-    perm = [0] * g.n
-    for i, v in enumerate(order):
-        perm[v] = i
-    return to_graph6(g.relabel(perm))
+    return _rows_to_graph6(_search(g.adj)[0])
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -148,31 +169,66 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 # -- enumeration ----------------------------------------------------------------
 
-_connected_cache: dict[int, tuple[Graph, ...]] = {}
+class _Class(NamedTuple):
+    """One isomorphism class: canonical code, representative, and generators
+    of the representative's automorphism group."""
+    code: str
+    graph: Graph
+    generators: tuple[Perm, ...]
 
 
-def _connected_classes(n: int) -> tuple[Graph, ...]:
+_connected_cache: dict[int, tuple[_Class, ...]] = {}
+
+
+def _orbit_minima(k: int, generators: tuple[Perm, ...]) -> list[int]:
+    """Non-empty masks over k vertices that are the lowest in their orbit
+    under the group the generators (permutations of 0..k-1) generate."""
+    size = 1 << k
+    if not generators:
+        return list(range(1, size))
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    image = [0] * size
+    for perm in generators:
+        for m in range(1, size):
+            low = m & -m
+            image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+            a, b = find(m), find(image[m])
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    return [m for m in range(1, size) if find(m) == m]
+
+
+def _connected_classes(n: int) -> tuple[_Class, ...]:
+    """The classes of connected graphs on n vertices, sorted by code."""
     if n in _connected_cache:
         return _connected_cache[n]
     if n == 1:
-        result: tuple[Graph, ...] = (Graph(1, [0]),)
+        result = (_Class(_rows_to_graph6((0,)), Graph(1, [0]), ()),)
     else:
-        prev = _connected_classes(n - 1)
-        seen: dict[str, Graph] = {}
-        for base in prev:
-            base_edges = base.edges()
-            for nbhd in range(1, 1 << (n - 1)):
-                edges = list(base_edges)
-                m = nbhd
-                while m:
-                    low = m & -m
-                    edges.append((low.bit_length() - 1, n - 1))
-                    m ^= low
-                cand = Graph.from_edges(n, edges)
-                code = canonical_form(cand)
-                if code not in seen:
-                    seen[code] = cand
-        result = tuple(seen[c] for c in sorted(seen))
+        last = n - 1  # the added vertex
+        seen: dict[int, _Class] = {}
+        for base in _connected_classes(n - 1):
+            adj = base.graph.adj
+            for nbhd in _orbit_minima(last, base.generators):
+                rows = tuple([row | (nbhd >> v & 1) << last
+                              for v, row in enumerate(adj)]) + (nbhd,)
+                code, _, generators = _search(rows)
+                key = 0  # the code rows packed into one int, which keeps the dict small
+                for row in code:
+                    key = key << n | row
+                if key not in seen:
+                    seen[key] = _Class(_rows_to_graph6(code), Graph(n, rows),
+                                       tuple(generators))
+        result = tuple(sorted(seen.values(), key=lambda cls: cls.code))
     _connected_cache[n] = result
     return result
 
@@ -186,7 +242,8 @@ def enumerate_connected(n: int, min_degree: Optional[int] = None,
     """
     if not (1 <= n <= ENUM_MAX_N):
         raise CapacityError(f"enumeration supports 1 <= n <= {ENUM_MAX_N}, got {n}")
-    for g in _connected_classes(n):
+    for cls in _connected_classes(n):
+        g = cls.graph
         if min_degree is not None and (g.n == 0 or min(g.degrees()) < min_degree):
             continue
         if bipartite is not None:

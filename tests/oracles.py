@@ -120,6 +120,24 @@ def brute_connected_permutation_count(n):
     return len(reps)
 
 
+def unpruned_connected_classes(n, canon):
+    """Representatives of the connected graphs on n vertices by plain vertex
+    augmentation: attach a new vertex to every non-empty neighbourhood of
+    every representative on n - 1 vertices, keep the first candidate of each
+    `canon` code, and order by code. No automorphism pruning."""
+    from dilations.graphs import Graph
+
+    if n == 1:
+        return [Graph(1, [0])]
+    seen = {}
+    for base in unpruned_connected_classes(n - 1, canon):
+        for nbhd in range(1, 1 << (n - 1)):
+            edges = base.edges() + [(v, n - 1) for v in range(n - 1) if nbhd >> v & 1]
+            cand = Graph.from_edges(n, edges)
+            seen.setdefault(canon(cand), cand)
+    return [seen[code] for code in sorted(seen)]
+
+
 def brute_berge_exists(g, h):
     """Does h host a copy of g? Enumerate all vertex injections; for each,
     assign distinct containing hyperedges to the graph edges by plain DFS."""

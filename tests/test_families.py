@@ -1,5 +1,6 @@
 import pytest
 
+from dilations import families
 from dilations.dilation import DilationClass, random_dilation
 from dilations.errors import CapacityError, DomainError
 from dilations.families import (derive_g2nb_candidates, extremal_class_gamma1,
@@ -141,6 +142,24 @@ class TestG1:
         assert v.member
         assert v.evidence["used_condition_iii"]
         assert domination_number(g).value == matching_number(g).value == 2
+
+    def test_condition_iii_gamma_instability(self, nb_list, monkeypatch):
+        # the leftover component matches a candidate, but removing attachment
+        # vertices {0, 1} drops its gamma from 2 to 1; each graph is solved once
+        g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 6),
+                                 (3, 6), (4, 5), (4, 6)])
+        solved = []
+        solve = families.domination_number
+
+        def counted(h, *args, **kwargs):
+            solved.append(h)
+            return solve(h, *args, **kwargs)
+        monkeypatch.setattr(families, "domination_number", counted)
+        v = in_family_g1(g, nb_list)
+        assert not v.member and v.evidence["case"] == "component_failure"
+        assert v.evidence["component"]["reasons"]["iii"] == {
+            "gamma_unstable_under_removal": [0, 1], "gamma": 2, "gamma_after_removal": 1}
+        assert len({id(h) for h in solved}) == len(solved)
 
     def test_equivalence_scan(self, nb_list):
         for n in range(2, 9):

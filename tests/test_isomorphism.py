@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -5,9 +6,10 @@ import pytest
 
 from dilations.errors import CapacityError
 from dilations.graphs import Graph, complete, complete_bipartite, cycle
-from dilations.isomorphism import (canonical_form, enumerate_connected,
-                                   is_isomorphic)
-from oracles import brute_connected_labeled_count, brute_connected_permutation_count
+from dilations.isomorphism import (_connected_classes, canonical_form,
+                                   enumerate_connected, is_isomorphic)
+from oracles import (brute_connected_labeled_count, brute_connected_permutation_count,
+                     unpruned_connected_classes)
 
 
 def random_graph(rng, n, p=0.5):
@@ -78,6 +80,50 @@ class TestEnumeration:
     def test_counts_vs_permutation_dedup(self, n):
         # oracle that never touches canonical_form
         assert len(list(enumerate_connected(n))) == brute_connected_permutation_count(n)
+
+    def test_golden_codes_and_representatives(self):
+        # pins each class's canonical code and its representative's labelling,
+        # which drives witnesses and seeded random dilations downstream
+        lines = []
+        for n in range(1, 8):
+            classes = list(enumerate_connected(n))
+            assert len(classes) == (1, 1, 2, 6, 21, 112, 853)[n - 1]  # OEIS A001349
+            lines += [f"{canonical_form(g)} {','.join(map(str, g.adj))}" for g in classes]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "071539eec9ad8612048ed46e05097f3e199b643385c6a6bd7a68914a813e9c8d"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_orbit_pruning_keeps_representatives(self, n):
+        expected = [g.adj for g in unpruned_connected_classes(n, canonical_form)]
+        assert [g.adj for g in enumerate_connected(n)] == expected
+
+    def test_generators_are_automorphisms(self):
+        for n in range(1, 8):
+            for cls in _connected_classes(n):
+                adj = cls.graph.adj
+                for perm in cls.generators:
+                    assert sorted(perm) == list(range(n))
+                    for u in range(n):
+                        for v in range(n):
+                            assert (adj[u] >> v & 1) == (adj[perm[u]] >> perm[v] & 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generators_generate_full_group(self, n):
+        for cls in _connected_classes(n):
+            group = {tuple(range(n))}
+            frontier = list(group)
+            while frontier:
+                p = frontier.pop()
+                for gen in cls.generators:
+                    q = tuple(gen[p[v]] for v in range(n))
+                    if q not in group:
+                        group.add(q)
+                        frontier.append(q)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from(cls.graph.edges())
+            matcher = nx.algorithms.isomorphism.GraphMatcher(nxg, nxg)
+            assert len(group) == sum(1 for _ in matcher.isomorphisms_iter())
 
     def test_constraints(self):
         hits = list(enumerate_connected(5, min_degree=2, bipartite=False))
