@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common],
                        help="list connected graphs up to isomorphism")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--min-degree", type=int)
+    p.add_argument("--min-degree", type=_int_at_least(0))
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--bipartite", action="store_true")
     grp.add_argument("--non-bipartite", action="store_true")

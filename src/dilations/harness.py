@@ -48,6 +48,7 @@ from .families import (in_family_g1, in_family_g2b, in_family_g2nb,
                        load_g2nb_candidates, union_family_member)
 from .graphs import Graph, complete, complete_bipartite, complete_minus_clique, \
     cycle, g_nr, ghat_nr
+from .hypergraphs import Hypergraph
 from .invariants import (DEFAULT_NODE_CAP, domination_number, is_keg,
                          matching_number, transversal_number)
 from .isomorphism import _connected_classes
@@ -215,9 +216,10 @@ def _check(checks: list, name: str, expected, got):
 
 def _hereditary_worker(task) -> tuple[str, list[dict], dict, bool]:
     g, key, seed, samples, node_cap = task
-    gamma_g = domination_number(g, node_cap=node_cap)
-    nu_g = matching_number(g, node_cap=node_cap)
-    tau_g = transversal_number(g, node_cap=node_cap)
+    gh = Hypergraph.from_graph(g)  # one conversion and incidence table for three solves
+    gamma_g = domination_number(gh, node_cap=node_cap)
+    nu_g = matching_number(gh, node_cap=node_cap)
+    tau_g = transversal_number(gh, node_cap=node_cap)
     checks: list[dict] = []
     certs = {"gamma_G": gamma_g.to_json(), "nu_G": nu_g.to_json(), "tau_G": tau_g.to_json()}
 

@@ -15,7 +15,7 @@ from .graphs import Graph, _mask, _mask_to_list
 class Hypergraph:
     """Immutable hypergraph; no size cap beyond what fits in memory."""
 
-    __slots__ = ("m", "edge_masks")
+    __slots__ = ("m", "edge_masks", "_incidence")
 
     def __init__(self, m: int, edge_masks: Sequence[int]):
         if m < 0:
@@ -28,6 +28,7 @@ class Hypergraph:
                 raise DomainError(f"edge {i} references vertices outside 0..{m - 1}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "edge_masks", tuple(edge_masks))
+        object.__setattr__(self, "_incidence", None)  # built by incidence()
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
@@ -64,6 +65,17 @@ class Hypergraph:
     def degree(self, v: int) -> int:
         bit = 1 << v
         return sum(1 for e in self.edge_masks if e & bit)
+
+    def incidence(self) -> tuple[int, ...]:
+        """Per vertex, the mask of the edges that contain it; built on first
+        use and kept, so every solver on this instance shares one table."""
+        if self._incidence is None:
+            incidence = [0] * self.m
+            for i, e in enumerate(self.edge_masks):
+                for v in _mask_to_list(e):
+                    incidence[v] |= 1 << i
+            object.__setattr__(self, "_incidence", tuple(incidence))
+        return self._incidence
 
     def closed_neighborhoods(self) -> list[int]:
         """Per-vertex mask of the vertex itself plus all co-occurring vertices."""

@@ -27,7 +27,19 @@ The cover search has one branching rule, the minimum-remaining-values choice
 of Knuth's Algorithm X: branch on the uncovered element with the fewest
 coverers (lowest index on ties), and try its coverers by uncovered gain, then
 by index. For gamma the coverers of v are N[v]; for tau they are the vertices
-of the edge, so on a graph tau branches on the lowest uncovered edge.
+of the edge, so on a graph tau branches on the lowest uncovered edge. Each
+node is bounded twice: by a greedy packing of uncovered elements no two of
+which share a coverer, and by whether the sets left in the budget can cover
+the uncovered count. Both bounds are exact rewrites of their plain forms (the
+packing drops each chosen element's whole union mask at once; the coverage
+bound tests containment with one set left and sorts gains only when there are
+more sets than budget), so they prune the same nodes.
+
+The cover witness pass walks covers in subset order. Every element of the
+reduced universe has a last coverer, its highest-index set. After trying set
+s, a loop stops if an uncovered element's last coverer is s: no later set can
+cover that element. The cut is sound, so the first cover found is the same;
+it costs one AND per loop step and no scan of the uncovered elements.
 
 The nu search keeps its candidates as one bitmask over the edges and branches
 on the lowest candidate: take it, which drops every edge meeting it, or drop
@@ -61,6 +73,8 @@ class Certificate:
 
     witness holds vertex indices for gamma/tau and edge indices for nu; it is
     the lexicographically smallest optimal witness under that order.
+    node_count is every search node; witness_nodes is the part of it spent
+    in the witness pass, after the value was known (0 in exhaustive mode).
     """
 
     parameter: str  # "gamma" | "nu" | "tau"
@@ -68,6 +82,7 @@ class Certificate:
     witness: tuple[int, ...]
     mode: str  # "exhaustive" | "branch_and_bound"
     node_count: int
+    witness_nodes: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -89,11 +104,22 @@ def _check_mode(mode: str) -> None:
 
 
 class _Budget:
-    __slots__ = ("cap", "nodes")
+    """Search nodes counted against a cap; the nodes ticked after
+    `start_witness()` belong to the witness pass."""
+
+    __slots__ = ("cap", "nodes", "value_nodes")
 
     def __init__(self, cap: int):
         self.cap = cap
         self.nodes = 0
+        self.value_nodes = None
+
+    def start_witness(self):
+        self.value_nodes = self.nodes
+
+    @property
+    def witness_nodes(self) -> int:
+        return 0 if self.value_nodes is None else self.nodes - self.value_nodes
 
     def tick(self, best=None):
         self.nodes += 1
@@ -160,29 +186,33 @@ def _reduce_universe(cover_masks: list[int], coverer_masks: list[int],
 
 
 def _packing_bound(union_masks: list[int], uncovered: int) -> int:
-    """Greedy count of uncovered elements no two of which share a coverer."""
+    """Greedy count of uncovered elements no two of which share a coverer.
+
+    Each element is in its own union mask, so removing that mask drops the
+    element together with every element it blocks."""
     count = 0
-    blocked = 0
     m = uncovered
     while m:
-        low = m & -m
-        e = low.bit_length() - 1
-        m ^= low
-        if blocked >> e & 1:
-            continue
         count += 1
-        blocked |= union_masks[e]
+        m &= ~union_masks[(m & -m).bit_length() - 1]
     return count
 
 
 def _coverage_infeasible(cover_masks: list[int], uncovered: int, budget_sets: int,
                          start: int = 0) -> bool:
-    """True when even the `budget_sets` best remaining sets cannot cover everything."""
+    """True when even the `budget_sets` best remaining sets cannot cover everything.
+
+    `uncovered` is non-empty. With one set left, that set must cover all of
+    it; otherwise the largest gains must add up to the uncovered count."""
     if budget_sets <= 0:
         return uncovered != 0
-    need = uncovered.bit_count()
-    gains = sorted((m & uncovered).bit_count() for m in cover_masks[start:])[-budget_sets:]
-    return sum(gains) < need
+    if budget_sets == 1:
+        return all(uncovered & ~m for m in cover_masks[start:])
+    gains = [(m & uncovered).bit_count() for m in cover_masks[start:]]
+    if len(gains) > budget_sets:
+        gains.sort()
+        gains = gains[-budget_sets:]
+    return sum(gains) < uncovered.bit_count()
 
 
 def _min_cover(cover_masks: list[int], coverer_masks: list[int],
@@ -197,9 +227,8 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
     universe, union_masks = _reduce_universe(cover_masks, coverer_masks, universe)
     greedy = _greedy_cover(cover_masks, universe)
     best_value = len(greedy)
-    coverers = [_mask_to_list(c) for c in coverer_masks]
     # branching order: fewest coverers first, then lowest index
-    order = sorted(_mask_to_list(universe), key=lambda e: (len(coverers[e]), e))
+    order = sorted(_mask_to_list(universe), key=lambda e: (coverer_masks[e].bit_count(), e))
 
     def descend(covered: int, forbidden: int, depth: int):
         # solution space of this node: covers extending the current choices and
@@ -218,7 +247,7 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
         if _coverage_infeasible(cover_masks, uncovered, best_value - depth - 1):
             return
         e = next(e for e in order if uncovered >> e & 1)
-        usable = sorted((s for s in coverers[e] if not (forbidden >> s & 1)),
+        usable = sorted(_mask_to_list(coverer_masks[e] & ~forbidden),
                         key=lambda s: (-(cover_masks[s] & uncovered).bit_count(), s))
         seen = 0
         for s in usable:
@@ -228,9 +257,16 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
     descend(0, 0, 0)
 
     # lexicographic reconstruction: first witness of optimal size in subset order
+    budget.start_witness()
     n_sets = len(cover_masks)
     target = best_value
     witness: Optional[tuple[int, ...]] = None
+    ends = [0] * n_sets  # ends[s]: the elements whose highest-index coverer is s
+    m = universe
+    while m:
+        low = m & -m
+        m ^= low
+        ends[coverer_masks[low.bit_length() - 1].bit_length() - 1] |= low
 
     def lex(start: int, covered: int, chosen: list[int]):
         nonlocal witness
@@ -256,7 +292,8 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
             chosen.append(s)
             lex(s + 1, covered | cover_masks[s], chosen)
             chosen.pop()
-            if witness is not None:
+            if witness is not None or ends[s] & uncovered:
+                # the later sets cannot cover the elements whose last coverer is s
                 return
 
     lex(0, 0, [])
@@ -288,7 +325,7 @@ def _solve_cover(parameter: str, cover_masks: list[int], coverer_masks: list[int
         value, witness = _min_cover_exhaustive(cover_masks, universe, budget)
     else:
         value, witness = _min_cover(cover_masks, coverer_masks, universe, budget)
-    return Certificate(parameter, value, witness, mode, budget.nodes)
+    return Certificate(parameter, value, witness, mode, budget.nodes, budget.witness_nodes)
 
 
 # -- gamma ------------------------------------------------------------------
@@ -306,21 +343,12 @@ def domination_number(x: Instance, mode: str = "branch_and_bound",
 
 # -- tau ----------------------------------------------------------------------
 
-def _incidence(h: Hypergraph) -> list[int]:
-    """Per vertex, the bitmask of the hyperedges that contain it."""
-    incidence = [0] * h.m
-    for i, e in enumerate(h.edge_masks):
-        for v in _mask_to_list(e):
-            incidence[v] |= 1 << i
-    return incidence
-
-
 def transversal_number(x: Instance, mode: str = "branch_and_bound",
                        node_cap: int = DEFAULT_NODE_CAP) -> Certificate:
     """Minimum set of vertices meeting every hyperedge."""
     h = _as_hypergraph(x)
     # the vertices of edge i are the sets that cover element i
-    return _solve_cover("tau", _incidence(h), h.edge_masks, (1 << h.edge_count) - 1,
+    return _solve_cover("tau", h.incidence(), h.edge_masks, (1 << h.edge_count) - 1,
                         mode, node_cap)
 
 
@@ -351,7 +379,7 @@ def matching_number(x: Instance, mode: str = "branch_and_bound",
                     return Certificate("nu", size, combo, mode, budget.nodes)
         return Certificate("nu", 0, (), mode, budget.nodes)
 
-    incidence = _incidence(h)
+    incidence = h.incidence()
     edge_vertices = [_mask_to_list(e) for e in masks]
     conflicts = []  # conflicts[i]: the edges that meet edge i, itself included
     for verts in edge_vertices:
@@ -400,6 +428,7 @@ def matching_number(x: Instance, mode: str = "branch_and_bound",
     descend((1 << n_edges) - 1, 0)
 
     # lexicographic reconstruction: first packing of optimal size in subset order
+    budget.start_witness()
     target = best_value
     witness: Optional[tuple[int, ...]] = None
 
@@ -426,7 +455,8 @@ def matching_number(x: Instance, mode: str = "branch_and_bound",
     lex((1 << n_edges) - 1, [])
     if witness is None:
         raise RuntimeError("internal error: optimal packing vanished during reconstruction")
-    return Certificate("nu", target, witness, "branch_and_bound", budget.nodes)
+    return Certificate("nu", target, witness, "branch_and_bound", budget.nodes,
+                       budget.witness_nodes)
 
 
 # -- certificate checking and KEG ------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -212,6 +213,15 @@ class TestVerifyCommand:
                              "--format", "json")
         assert out1 == out2
 
+    def test_verify_all_bytes_pinned(self, capsys):
+        # the byte-exact contract: every solver change must keep values,
+        # witnesses and report order, so the JSON report is pinned whole
+        code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "5", "--jobs", "1",
+                               "--format", "json", "--no-timestamp")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c1b7c29768b1f021f5fbebf186e478951b199a2ae5c0993761c754b698225fc2")
+
     def test_no_timestamp_text_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "counterexample", "--max-n", "2",
                              "--no-timestamp")
@@ -252,6 +262,7 @@ class TestExitCodes:
         ("verify", "counterexample", "--max-n", "2", "--samples", "-1"),
         ("verify", "counterexample", "--max-n", "2", "--jobs", "-4"),
         ("verify", "counterexample", "--max-n", "2", "--jobs", "0"),
+        ("enumerate", "--n", "4", "--min-degree", "-3"),
     ])
     def test_bad_count_argument_is_usage_error(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import pytest
@@ -42,6 +43,16 @@ class TestHypergraph:
         h = Hypergraph.from_edge_sets(4, [[0, 1, 2]])
         nbhd = h.closed_neighborhoods()
         assert nbhd[0] == 0b0111 and nbhd[3] == 0b1000
+
+    def test_incidence_built_once(self):
+        h = Hypergraph.from_edge_sets(4, [[0, 1, 2], [2, 3], [0, 1, 2]])
+        incidence = h.incidence()
+        assert incidence == (0b101, 0b101, 0b111, 0b010)
+        assert h.incidence() is incidence
+        # the cached table is no part of the value: equality, hash and pickling
+        fresh = pickle.loads(pickle.dumps(h))
+        assert fresh == h and hash(fresh) == hash(h)
+        assert fresh.incidence() == incidence
 
 
 class TestTextFormat:

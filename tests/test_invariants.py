@@ -280,6 +280,47 @@ class TestGamma1BlowUps:
         assert cert.witness == (0, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29)
 
 
+def _phases(cert):
+    return cert.node_count - cert.witness_nodes, cert.witness_nodes
+
+
+class TestNodeCounts:
+    # Node counts are deterministic, so a change that keeps every witness but
+    # searches more (a bound that prunes late, a cut that fires one step late) still
+    # shows here. A change that moves a count must explain the move.
+    def test_phase_totals_on_small_graphs_and_powers(self):
+        totals = {fn: [0, 0] for fn in (domination_number, transversal_number,
+                                         matching_number)}
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                instances = [g]
+                if g.edge_count:
+                    instances += [generalized_power(g, 4, 1)[0], generalized_power(g, 4, 2)[0]]
+                for x in instances:
+                    for fn, total in totals.items():
+                        value_nodes, witness_nodes = _phases(fn(x))
+                        total[0] += value_nodes
+                        total[1] += witness_nodes
+        assert totals[domination_number] == [968, 1797]
+        assert totals[transversal_number] == [1991, 2462]
+        assert totals[matching_number] == [2731, 1843]
+
+    @pytest.mark.parametrize("fn, x, phases", [
+        (transversal_number, cycle(25), (1, 25)),
+        (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (14261, 10)),
+        (domination_number, generalized_power(cycle(23), 4, 1)[0], (1, 23)),
+        (matching_number, generalized_power(cycle(31), 4, 1)[0], (3, 16)),
+    ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1"])
+    def test_named_instances(self, fn, x, phases):
+        cert = fn(x)
+        assert _phases(cert) == phases
+        assert cert.to_json()["node_count"] == sum(phases)
+        assert "witness_nodes" not in cert.to_json()
+
+    def test_exhaustive_mode_has_no_witness_phase(self):
+        assert domination_number(cycle(5), mode="exhaustive").witness_nodes == 0
+
+
 class TestBudget:
     def test_node_cap_raises(self):
         h, _ = generalized_power(complete(8), 4, 1)
