@@ -6,7 +6,7 @@ import pytest
 
 from dilations.errors import CapacityError
 from dilations.graphs import Graph, complete, complete_bipartite, cycle
-from dilations.isomorphism import (_connected_classes, canonical_form,
+from dilations.isomorphism import (_connected_classes, canonical_form, canonical_labeling,
                                    enumerate_connected, is_isomorphic)
 from oracles import (brute_connected_labeled_count, brute_connected_permutation_count,
                      unpruned_connected_classes)
@@ -91,6 +91,14 @@ class TestEnumeration:
             lines += [f"{canonical_form(g)} {','.join(map(str, g.adj))}" for g in classes]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "071539eec9ad8612048ed46e05097f3e199b643385c6a6bd7a68914a813e9c8d"
+
+    def test_golden_canonical_labeling(self):
+        # pins the labelling itself, which orders witnesses and seeded dilations
+        lines = [f"{canonical_form(g)} {' '.join(map(str, canonical_labeling(g)))}"
+                 for n in range(1, 8) for g in enumerate_connected(n)]
+        assert len(lines) == 996
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "3690d8d348498e7f4fc54e81acbbe5486c7747f573821036688d0ca58471f917"
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_orbit_pruning_keeps_representatives(self, n):
