@@ -188,7 +188,11 @@ def _worker_count(jobs: int, n_tasks: int) -> int:
 def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
     """Run `worker` on every task, with RankDeficitWarning silenced: the
     suites build rank-deficient dilations on purpose. The filter is scoped
-    to the run, so the caller's warning settings are left as they were."""
+    to the run, so the caller's warning settings are left as they were.
+
+    A pool gets the tasks in chunks of about a sixteenth of each worker's
+    share, which saves a round trip per task yet keeps a few slow tasks of
+    a short list in separate chunks."""
     jobs = _worker_count(jobs, len(tasks))
     if jobs <= 1:
         with warnings.catch_warnings():
@@ -196,7 +200,7 @@ def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
             return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs, initializer=warnings.simplefilter,
                              initargs=("ignore", RankDeficitWarning)) as pool:
-        return list(pool.map(worker, tasks, chunksize=1))
+        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (16 * jobs))))
 
 
 def _graph_tasks(max_n: int, *shared):

@@ -8,6 +8,14 @@ symmetric graphs such as complete multipartite graphs cheap. The search works
 on adjacency rows: its winning code is the tuple of canonically relabelled
 rows, and the canonical code is the graph6 string of those rows.
 
+Each refinement round counts neighbors only into splitter cells, as in
+McKay and Piperno's *Practical graph isomorphism II* (2014): the fragments
+of the cells the previous round split, less the last fragment of each. Counts
+into any other cell are already equal inside every cell, and the last
+fragment's count follows from its siblings', so the rounds produce the same
+partitions in the same cell order as counting into every cell; the codes
+depend on that order.
+
 The same search yields generators of the automorphism group. Two leaves
 with equal codes differ by an automorphism, so every leaf whose code equals
 the best one gives a generator. At a homogeneous leaf any permutation inside
@@ -80,9 +88,9 @@ def _search(adj: Rows) -> tuple[Rows, list[int], list[Perm]]:
                     perm[u], perm[v] = v, u
                     generators.append(tuple(perm))
 
-    def search(cells: list[list[int]]) -> None:
-        cells = _refine(adj, cells)
-        if all(len(c) == 1 for c in cells) or _homogeneous(adj, cells):
+    def search(cells: list[list[int]], splitters: list[int]) -> None:
+        cells = _refine(adj, cells, splitters)
+        if len(cells) == n or _homogeneous(adj, cells):
             leaf(cells)
             return
         target = next(i for i, c in enumerate(cells) if len(c) > 1)
@@ -90,11 +98,11 @@ def _search(adj: Rows) -> tuple[Rows, list[int], list[Perm]]:
             branched = (cells[:target]
                         + [[v], [u for u in cells[target] if u != v]]
                         + cells[target + 1:])
-            search(branched)
+            search(branched, [1 << v])  # the rest of the cell is the left-out fragment
 
     if n == 0:
         return (), [], []
-    search([list(range(n))])
+    search([list(range(n))], [(1 << n) - 1])  # counts into every vertex: the degrees
     return best_code, best_order, generators
 
 
@@ -103,53 +111,70 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
     return tuple(_search(g.adj)[1])
 
 
-def _refine(adj: Rows, cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement: split cells by neighbor counts into every cell."""
-    while True:
-        masks = [_mask(cell) for cell in cells]
+def _refine(adj: Rows, cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
+    """Equitable refinement by splitter cells.
+
+    Each round splits every cell by its vertices' neighbor counts into the
+    splitter masks, with the fragments in increasing order of counts. The
+    next round's splitters are the fragments of the cells it split, less the
+    last fragment of each, in cell order; the loop ends when a round splits
+    nothing. `splitters` lists the first round's masks in cell order: the
+    whole vertex set for the unit partition, or the individualised vertex
+    for a branch of an equitable partition.
+
+    This gives the same partitions, in the same cell order, as counting into
+    every cell each round. After a round, vertices in one cell have equal
+    counts into every cell of the round before, so counts into a cell the
+    round did not split cannot split a cell. The last fragment's count is
+    its parent cell's count less the other fragments' counts, so it is equal
+    whenever the fields before it are, and decides no comparison.
+    """
+    width = len(adj).bit_length()
+    while splitters:
+        single = splitters[0] if len(splitters) == 1 else 0
         new_cells: list[list[int]] = []
-        changed = False
+        new_splitters: list[int] = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            keyed: dict[tuple, list[int]] = {}
+            keyed: dict[int, list[int]] = {}
             for v in cell:
                 row = adj[v]
-                key = tuple([(row & m).bit_count() for m in masks])
+                if single:
+                    key = (row & single).bit_count()
+                else:  # the counts packed into one int, which sorts as their tuple
+                    key = 0
+                    for m in splitters:
+                        key = key << width | (row & m).bit_count()
                 keyed.setdefault(key, []).append(v)
             if len(keyed) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
-                for key in sorted(keyed):
-                    new_cells.append(keyed[key])
-        cells = new_cells
-        if not changed:
-            return cells
+                parts = [keyed[key] for key in sorted(keyed)]
+                new_cells += parts
+                new_splitters += [_mask(part) for part in parts[:-1]]
+        cells, splitters = new_cells, new_splitters
+    return cells
 
 
 def _homogeneous(adj: Rows, cells: list[list[int]]) -> bool:
     """True if any within-cell ordering yields the same adjacency code.
 
     Assumes an equitable partition (as produced by _refine), so per-cell
-    neighbor counts are uniform and checking one value per vertex suffices.
+    neighbor counts are uniform and checking the first vertex of each cell
+    suffices.
     """
     masks = [_mask(cell) for cell in cells]
     for i, cell in enumerate(cells):
-        size = len(cell)
-        if size > 1:
-            inner = size - 1
-            for v in cell:
-                d = (adj[v] & masks[i]).bit_count()
-                if d != 0 and d != inner:
-                    return False
+        row = adj[cell[0]]
+        d = (row & masks[i]).bit_count()
+        if d != 0 and d != len(cell) - 1:
+            return False
         for j in range(i + 1, len(cells)):
-            other = len(cells[j])
-            for v in cell:
-                d = (adj[v] & masks[j]).bit_count()
-                if d != 0 and d != other:
-                    return False
+            d = (row & masks[j]).bit_count()
+            if d != 0 and d != len(cells[j]):
+                return False
     return True
 
 

@@ -165,3 +165,33 @@ def brute_berge_exists(g, h):
         if assign(0, image, set()):
             return True
     return False
+
+
+def full_refine(adj, cells):
+    """Equitable refinement that counts neighbours into every cell each round:
+    the reference that splitter-cell refinement must reproduce, cell order
+    included."""
+    from dilations.graphs import _mask
+
+    while True:
+        masks = [_mask(cell) for cell in cells]
+        new_cells: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            keyed: dict[tuple, list[int]] = {}
+            for v in cell:
+                row = adj[v]
+                key = tuple([(row & m).bit_count() for m in masks])
+                keyed.setdefault(key, []).append(v)
+            if len(keyed) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for key in sorted(keyed):
+                    new_cells.append(keyed[key])
+        cells = new_cells
+        if not changed:
+            return cells

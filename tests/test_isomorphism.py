@@ -1,15 +1,16 @@
 import hashlib
 import random
+from itertools import permutations, product
 
 import networkx as nx
 import pytest
 
 from dilations.errors import CapacityError
 from dilations.graphs import Graph, complete, complete_bipartite, cycle
-from dilations.isomorphism import (_connected_classes, canonical_form, canonical_labeling,
-                                   enumerate_connected, is_isomorphic)
+from dilations.isomorphism import (_connected_classes, _homogeneous, _refine, canonical_form,
+                                   canonical_labeling, enumerate_connected, is_isomorphic)
 from oracles import (brute_connected_labeled_count, brute_connected_permutation_count,
-                     unpruned_connected_classes)
+                     full_refine, unpruned_connected_classes)
 
 
 def random_graph(rng, n, p=0.5):
@@ -62,6 +63,66 @@ class TestCanonicalForm:
         cocktail = Graph.from_edges(8, edges)
         perm = [3, 2, 5, 4, 7, 6, 1, 0]
         assert canonical_form(cocktail.relabel(perm)) == canonical_form(cocktail)
+
+
+def symmetric_graphs():
+    """Regular and other highly symmetric graphs, where refinement splits
+    the least and the search branches the most."""
+    named = [nx.petersen_graph(), nx.heawood_graph(), nx.moebius_kantor_graph(),
+             nx.cycle_graph(12), nx.hypercube_graph(3), nx.complete_bipartite_graph(3, 4),
+             nx.disjoint_union_all([nx.complete_graph(3)] * 4), nx.circulant_graph(11, [1, 3])]
+    named += [nx.random_regular_graph(d, n, seed=n * d)
+              for n in range(9, 15) for d in (3, 4, 5) if n * d % 2 == 0]
+    graphs = []
+    for g in named:
+        g = nx.convert_node_labels_to_integers(g)
+        graphs.append(Graph.from_edges(g.number_of_nodes(), list(g.edges())))
+    return graphs
+
+
+def refinement_inputs(adj):
+    """The unit partition and every individualisation of the first
+    non-singleton cell of its refinement, each with its splitters."""
+    n = len(adj)
+    yield [list(range(n))], [(1 << n) - 1]
+    cells = full_refine(adj, [list(range(n))])
+    target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+    if target is not None:
+        for v in cells[target]:
+            yield (cells[:target] + [[v], [u for u in cells[target] if u != v]]
+                   + cells[target + 1:], [1 << v])
+
+
+class TestRefinement:
+    def assert_same_as_full_count(self, adj):
+        for cells, splitters in refinement_inputs(adj):
+            assert _refine(adj, cells, splitters) == full_refine(adj, cells)
+
+    def test_every_connected_graph_to_n7(self):
+        for n in range(1, 8):
+            for cls in _connected_classes(n):
+                self.assert_same_as_full_count(cls.graph.adj)
+
+    def test_symmetric_graphs(self):
+        for g in symmetric_graphs():
+            self.assert_same_as_full_count(g.adj)
+
+    def test_homogeneous_against_brute_force(self):
+        def code(adj, order):
+            pos = {v: i for i, v in enumerate(order)}
+            return tuple(sorted((pos[u], pos[v]) for u in order for v in order if adj[u] >> v & 1))
+
+        outcomes = set()
+        for n in range(1, 7):
+            for cls in _connected_classes(n):
+                adj = cls.graph.adj
+                for cells, splitters in refinement_inputs(adj):
+                    cells = _refine(adj, cells, splitters)
+                    codes = {code(adj, [v for part in parts for v in part])
+                             for parts in product(*map(permutations, cells))}
+                    assert _homogeneous(adj, cells) == (len(codes) == 1)
+                    outcomes.add(len(codes) == 1)
+        assert outcomes == {True, False}
 
 
 class TestEnumeration:
