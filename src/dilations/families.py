@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .dilation import DilationClass
 from .errors import CapacityError, DomainError
-from .graphs import Graph, structure_profile
+from .graphs import Graph, StructureProfile, structure_profile
 from .invariants import (Certificate, domination_number, is_keg,
                          matching_number, transversal_number)
 from .isomorphism import canonical_form, enumerate_connected
@@ -58,7 +58,10 @@ def _pair_private_neighbors(g: Graph, side1: Sequence[int], side2: Sequence[int]
 def in_family_g2b(g: Graph) -> FamilyVerdict:
     """Bipartite min-degree-2 family: every pair of smaller-side vertices with
     a common neighbor has at least two neighbors of its own on the other side."""
-    prof = structure_profile(g)
+    return _in_family_g2b(g, structure_profile(g))
+
+
+def _in_family_g2b(g: Graph, prof: StructureProfile) -> FamilyVerdict:
     if not prof.is_connected:
         return FamilyVerdict("G2B", False, {"not_applicable": "graph is not connected"})
     if prof.bipartition is None:
@@ -115,9 +118,13 @@ def load_g2nb_candidates() -> list[Graph]:
 
 def in_family_g2nb(g: Graph, nb_list: Optional[Sequence[Graph]] = None) -> FamilyVerdict:
     """Membership in the fixed non-bipartite min-degree-2 list (by isomorphism)."""
+    return _in_family_g2nb(g, structure_profile(g), nb_list)
+
+
+def _in_family_g2nb(g: Graph, prof: StructureProfile,
+                    nb_list: Optional[Sequence[Graph]]) -> FamilyVerdict:
     if nb_list is None:
         nb_list = load_g2nb_candidates()
-    prof = structure_profile(g)
     if not prof.is_connected:
         return FamilyVerdict("G2NB", False, {"not_applicable": "graph is not connected"})
     if prof.bipartition is not None:
@@ -158,9 +165,13 @@ def is_generalized_corona(g: Graph) -> FamilyVerdict:
 def in_family_g1(g: Graph, nb_list: Optional[Sequence[Graph]] = None) -> FamilyVerdict:
     """Min-degree-1 family: K2, generalized coronas, or all leftover components
     (after deleting leaves and stems) pass one of the three component tests."""
+    return _in_family_g1(g, structure_profile(g), nb_list)
+
+
+def _in_family_g1(g: Graph, prof: StructureProfile,
+                  nb_list: Optional[Sequence[Graph]]) -> FamilyVerdict:
     if nb_list is None:
         nb_list = load_g2nb_candidates()
-    prof = structure_profile(g)
     if not prof.is_connected:
         return FamilyVerdict("G1", False, {"not_applicable": "graph is not connected"})
     if prof.min_degree != 1:
@@ -254,10 +265,10 @@ def union_family_member(g: Graph, nb_list: Optional[Sequence[Graph]] = None) -> 
     if not prof.is_connected:
         raise DomainError("family dispatch requires a connected graph")
     if prof.min_degree == 1:
-        return in_family_g1(g, nb_list)
+        return _in_family_g1(g, prof, nb_list)
     if prof.bipartition is not None:
-        return in_family_g2b(g)
-    return in_family_g2nb(g, nb_list)
+        return _in_family_g2b(g, prof)
+    return _in_family_g2nb(g, prof, nb_list)
 
 
 def predict_gamma(g: Graph, cls: DilationClass | str) -> int:

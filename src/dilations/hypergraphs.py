@@ -15,7 +15,7 @@ from .graphs import Graph, _mask, _mask_to_list
 class Hypergraph:
     """Immutable hypergraph; no size cap beyond what fits in memory."""
 
-    __slots__ = ("m", "edge_masks", "_incidence")
+    __slots__ = ("m", "edge_masks", "_vertex_lists", "_incidence")
 
     def __init__(self, m: int, edge_masks: Sequence[int]):
         if m < 0:
@@ -28,6 +28,7 @@ class Hypergraph:
                 raise DomainError(f"edge {i} references vertices outside 0..{m - 1}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "edge_masks", tuple(edge_masks))
+        object.__setattr__(self, "_vertex_lists", None)  # built by vertex_lists()
         object.__setattr__(self, "_incidence", None)  # built by incidence()
 
     def __setattr__(self, name, value):
@@ -66,13 +67,21 @@ class Hypergraph:
         bit = 1 << v
         return sum(1 for e in self.edge_masks if e & bit)
 
+    def vertex_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Per edge, its vertices in increasing order; built on first use and
+        kept, like the incidence table."""
+        if self._vertex_lists is None:
+            object.__setattr__(self, "_vertex_lists",
+                               tuple(tuple(_mask_to_list(e)) for e in self.edge_masks))
+        return self._vertex_lists
+
     def incidence(self) -> tuple[int, ...]:
         """Per vertex, the mask of the edges that contain it; built on first
         use and kept, so every solver on this instance shares one table."""
         if self._incidence is None:
             incidence = [0] * self.m
-            for i, e in enumerate(self.edge_masks):
-                for v in _mask_to_list(e):
+            for i, verts in enumerate(self.vertex_lists()):
+                for v in verts:
                     incidence[v] |= 1 << i
             object.__setattr__(self, "_incidence", tuple(incidence))
         return self._incidence
@@ -80,8 +89,7 @@ class Hypergraph:
     def closed_neighborhoods(self) -> list[int]:
         """Per-vertex mask of the vertex itself plus all co-occurring vertices."""
         nbhd = [1 << v for v in range(self.m)]
-        for e in self.edge_masks:
-            verts = _mask_to_list(e)
+        for e, verts in zip(self.edge_masks, self.vertex_lists()):
             for v in verts:
                 nbhd[v] |= e
         return nbhd

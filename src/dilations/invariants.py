@@ -43,13 +43,24 @@ it costs one AND per loop step and no scan of the uncovered elements.
 
 The nu search keeps its candidates as one bitmask over the edges and branches
 on the lowest candidate: take it, which drops every edge meeting it, or drop
-it. Each node is bounded by a greedy transversal of the candidates (the
-packing side of covering/packing duality): take the lowest uncovered
-candidate, add the vertex of it that meets the most uncovered candidates, and
-repeat. Pairwise disjoint edges meet a transversal in distinct vertices, so
-its size bounds what can still be added. The witness pass prunes with the same
-bound. On C31^(4,1) nu takes 19 nodes, where counting distinct lowest
-vertices took 98,319; a random G(18, 0.3) graph takes 1,551 instead of 44,929.
+it. Each node is bounded first by a count of shared vertices, the vertices
+that lie in two or more edges. Pairwise disjoint edges hold disjoint sets of
+them, so a packing has at most the lonely candidates (edges with no shared
+vertex, which meet no other edge) plus the shared vertices the other
+candidates meet, divided by the fewest shared vertices of any edge that is not
+lonely. Every edge of a dilation holds two disjoint copy blocks, which is why
+nu(H) = nu(G), and on cliques this count alone settles the search: nu on
+K12^(4,1) takes one value node, where the bound below alone took 25,103. When
+the count does not prune, the node is bounded by a greedy transversal of the
+candidates (the packing side of covering/packing duality): take the lowest
+uncovered candidate, add the vertex of it that meets the most uncovered
+candidates, and repeat. Pairwise disjoint edges meet a transversal in distinct
+vertices, so its size bounds what can still be added. The count only adds
+pruning to the transversal, so values, witnesses and the best value at every
+visited node are those of the transversal alone, with no more nodes. The
+witness pass prunes with the same bound. On C31^(4,1) nu takes 17 nodes, where
+counting distinct lowest vertices took 98,319; a random G(18, 0.3) graph takes
+101, against 1,551 with the transversal alone and 44,929 before it.
 """
 
 from __future__ import annotations
@@ -380,15 +391,40 @@ def matching_number(x: Instance, mode: str = "branch_and_bound",
         return Certificate("nu", 0, (), mode, budget.nodes)
 
     incidence = h.incidence()
-    edge_vertices = [_mask_to_list(e) for e in masks]
+    edge_vertices = h.vertex_lists()
     conflicts = []  # conflicts[i]: the edges that meet edge i, itself included
     for verts in edge_vertices:
         c = 0
         for v in verts:
             c |= incidence[v]
         conflicts.append(c)
+    seen = shared = 0  # shared: the vertices in two or more edges
+    for e in masks:
+        shared |= seen & e
+        seen |= e
+    # lonely edges hold no shared vertex, so they meet no other edge; `share`
+    # is the fewest shared vertices in any other edge (it stays h.m if there
+    # is none, and then no shared vertex is ever met)
+    lonely, share = 0, h.m
+    for i, e in enumerate(masks):
+        s = (e & shared).bit_count()
+        if not s:
+            lonely |= 1 << i
+        elif s < share:
+            share = s
 
     def bound(cands: int, limit: int) -> int:
+        # counting bound: pairwise disjoint edges hold disjoint sets of shared
+        # vertices, at least `share` each unless lonely
+        met = 0
+        m = cands & ~lonely
+        while m:
+            low = m & -m
+            met |= masks[low.bit_length() - 1]
+            m ^= low
+        count = (cands & lonely).bit_count() + (met & shared).bit_count() // share
+        if count < limit:
+            return count
         # greedy transversal of the candidate edges: pairwise disjoint edges
         # meet it in distinct vertices, so its size bounds the packing; the
         # count stops at `limit`, past which no caller prunes

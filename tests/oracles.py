@@ -195,3 +195,91 @@ def full_refine(adj, cells):
         cells = new_cells
         if not changed:
             return cells
+
+
+def greedy_transversal_nu(h):
+    """The nu branch and bound bounded by the greedy transversal alone: the
+    reference that any stronger bound must match in value and witness and
+    never exceed in nodes. Returns (value, witness, value_nodes,
+    witness_nodes)."""
+    masks = [sum(1 << v for v in e) for e in edge_sets(h)]
+    n_edges = len(masks)
+    m = h.m if hasattr(h, "m") else h.n
+    nodes = 0
+
+    incidence = [0] * m
+    for i, e in enumerate(masks):
+        for v in range(m):
+            if e >> v & 1:
+                incidence[v] |= 1 << i
+    edge_vertices = [[v for v in range(m) if e >> v & 1] for e in masks]
+    conflicts = []  # conflicts[i]: the edges that meet edge i, itself included
+    for verts in edge_vertices:
+        c = 0
+        for v in verts:
+            c |= incidence[v]
+        conflicts.append(c)
+
+    def bound(cands: int, limit: int) -> int:
+        count = 0
+        while cands and count < limit:
+            i = (cands & -cands).bit_length() - 1
+            best, best_size = 0, 0
+            for v in edge_vertices[i]:
+                hit = incidence[v] & cands
+                size = hit.bit_count()
+                if size > best_size:
+                    best, best_size = hit, size
+            cands &= ~best
+            count += 1
+        return count
+
+    # greedy initial packing
+    best_value = 0
+    acc = 0
+    for i in range(n_edges):
+        if not (acc & masks[i]):
+            best_value += 1
+            acc |= masks[i]
+
+    def descend(cands: int, count: int):
+        nonlocal best_value, nodes
+        nodes += 1
+        if not cands:
+            best_value = max(best_value, count)
+            return
+        if count + bound(cands, best_value - count + 1) <= best_value:
+            return
+        low = cands & -cands
+        descend(cands & ~conflicts[low.bit_length() - 1], count + 1)
+        descend(cands ^ low, count)
+
+    descend((1 << n_edges) - 1, 0)
+    value_nodes = nodes
+
+    # lexicographic reconstruction: first packing of optimal size in subset order
+    target = best_value
+    witness = None
+
+    def lex(cands: int, chosen: list):
+        nonlocal witness, nodes
+        nodes += 1
+        remaining = target - len(chosen)
+        if not remaining:
+            witness = tuple(chosen)
+            return
+        if bound(cands, remaining) < remaining:
+            return
+        m = cands
+        while m.bit_count() >= remaining:
+            low = m & -m
+            m ^= low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            lex(cands & ~conflicts[i] & ~(low - 1), chosen)
+            chosen.pop()
+            if witness is not None:
+                return
+
+    lex((1 << n_edges) - 1, [])
+    return target, witness, value_nodes, nodes - value_nodes

@@ -54,6 +54,14 @@ class TestHypergraph:
         assert fresh == h and hash(fresh) == hash(h)
         assert fresh.incidence() == incidence
 
+    def test_vertex_lists_built_once(self):
+        h = Hypergraph.from_edge_sets(5, [[3, 0, 2], [4], [0, 2, 3]])
+        lists = h.vertex_lists()
+        assert lists == ((0, 2, 3), (4,), (0, 2, 3))
+        assert h.vertex_lists() is lists
+        fresh = pickle.loads(pickle.dumps(h))
+        assert fresh == h and fresh.vertex_lists() == lists
+
 
 class TestTextFormat:
     def test_round_trip(self):

@@ -12,7 +12,7 @@ from dilations.invariants import (Certificate, check_certificate,
                                   domination_number, is_keg, matching_number,
                                   transversal_number)
 from dilations.isomorphism import enumerate_connected
-from oracles import brute_gamma, brute_nu, brute_tau
+from oracles import brute_gamma, brute_nu, brute_tau, greedy_transversal_nu
 
 
 @st.composite
@@ -49,6 +49,22 @@ def dominance_instances(draw):
     return Hypergraph.from_edge_sets(m, draw(st.permutations(edges)))
 
 
+@st.composite
+def lonely_instances(draw):
+    """Hypergraphs with lonely edges (edges that meet no other edge), among
+    them singleton edges, next to edges that share vertices."""
+    m = draw(st.integers(min_value=0, max_value=5))
+    edges = []
+    if m:
+        vertex_sets = st.sets(st.integers(min_value=0, max_value=m - 1),
+                              min_size=1, max_size=min(3, m))
+        edges = draw(st.lists(vertex_sets, max_size=4))
+    for size in draw(st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=3)):
+        edges.append(set(range(m, m + size)))
+        m += size
+    return Hypergraph.from_edge_sets(m, draw(st.permutations(edges)))
+
+
 class TestAgainstOracles:
     @settings(max_examples=150, deadline=None)
     @given(h=hypergraphs())
@@ -58,7 +74,8 @@ class TestAgainstOracles:
         assert transversal_number(h).value == brute_tau(h)
 
     @settings(max_examples=120, deadline=None)
-    @given(h=st.one_of(hypergraphs(max_m=7, max_edges=6), dominance_instances()))
+    @given(h=st.one_of(hypergraphs(max_m=7, max_edges=6), dominance_instances(),
+                       lonely_instances()))
     def test_modes_agree_including_witness(self, h):
         for fn in (domination_number, matching_number, transversal_number):
             bb = fn(h)
@@ -68,11 +85,12 @@ class TestAgainstOracles:
             assert bb.mode == "branch_and_bound" and ex.mode == "exhaustive"
 
     def test_modes_agree_on_every_small_connected_graph(self):
-        # both cover searches share one branching rule; the witness pass must
-        # still find exhaustive mode's lexicographically first cover
+        # both cover searches share one branching rule, and nu prunes with two
+        # bounds; each witness pass must still find exhaustive mode's
+        # lexicographically first witness
         for n in range(1, 7):
             for g in enumerate_connected(n):
-                for fn in (domination_number, transversal_number):
+                for fn in (domination_number, transversal_number, matching_number):
                     bb = fn(g)
                     ex = fn(g, mode="exhaustive")
                     assert (bb.value, bb.witness) == (ex.value, ex.witness), (fn, g.edges())
@@ -303,14 +321,15 @@ class TestNodeCounts:
                         total[1] += witness_nodes
         assert totals[domination_number] == [968, 1797]
         assert totals[transversal_number] == [1991, 2462]
-        assert totals[matching_number] == [2731, 1843]
+        assert totals[matching_number] == [2005, 1843]
 
     @pytest.mark.parametrize("fn, x, phases", [
         (transversal_number, cycle(25), (1, 25)),
         (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (14261, 10)),
         (domination_number, generalized_power(cycle(23), 4, 1)[0], (1, 23)),
-        (matching_number, generalized_power(cycle(31), 4, 1)[0], (3, 16)),
-    ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1"])
+        (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 16)),
+        (matching_number, generalized_power(complete(12), 4, 1)[0], (1, 7)),
+    ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1", "nu_K12_4_1"])
     def test_named_instances(self, fn, x, phases):
         cert = fn(x)
         assert _phases(cert) == phases
@@ -319,6 +338,57 @@ class TestNodeCounts:
 
     def test_exhaustive_mode_has_no_witness_phase(self):
         assert domination_number(cycle(5), mode="exhaustive").witness_nodes == 0
+
+
+class TestNuCountingBound:
+    # The counting bound only adds pruning to the greedy transversal, so the
+    # value, the witness and the best value at every visited node stay the
+    # same, and neither phase may visit a node the greedy bound alone skips.
+    @staticmethod
+    def _check(x):
+        value, witness, value_nodes, witness_nodes = greedy_transversal_nu(x)
+        cert = matching_number(x)
+        assert (cert.value, cert.witness) == (value, witness)
+        got_value, got_witness = _phases(cert)
+        assert got_value <= value_nodes and got_witness <= witness_nodes
+        return value_nodes + witness_nodes - cert.node_count
+
+    def test_small_graphs_and_powers(self):
+        saved = 0
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                saved += self._check(g)
+                if g.edge_count:
+                    saved += self._check(generalized_power(g, 4, 1)[0])
+                    saved += self._check(generalized_power(g, 4, 2)[0])
+        assert saved > 0
+
+    @pytest.mark.parametrize("x", [
+        Hypergraph(0, []),
+        Hypergraph(4, []),
+        Hypergraph.from_edge_sets(3, [[0], [1], [2]]),
+        Hypergraph.from_edge_sets(3, [[0], [0], [1, 2]]),
+        Hypergraph.from_edge_sets(5, [[0, 1], [0, 1, 2], [3], [4]]),
+    ], ids=["empty", "no_edges", "singletons", "repeated_singleton", "nested_and_lonely"])
+    def test_edge_cases(self, x):
+        self._check(x)
+
+    def test_seeded_random_hypergraphs(self):
+        import random
+        rng = random.Random(2718)
+        for _ in range(600):
+            m = rng.randint(1, 9)
+            edges = [set(rng.sample(range(m), rng.randint(1, min(4, m))))
+                     for _ in range(rng.randint(0, 6))]
+            for _ in range(rng.randint(0, 2)):
+                if edges:  # a nested or a repeated edge
+                    edges.append(rng.choice(edges) | set(rng.sample(range(m), rng.randint(0, 1))))
+            for _ in range(rng.randint(0, 3)):  # lonely edges, singletons among them
+                size = rng.randint(1, 2)
+                edges.append(set(range(m, m + size)))
+                m += size
+            rng.shuffle(edges)
+            self._check(Hypergraph.from_edge_sets(m, edges))
 
 
 class TestBudget:
