@@ -1,3 +1,5 @@
+import hashlib
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -150,6 +152,34 @@ class TestWitnesses:
         # {0} covers star(3) both ways, but the witness claims two vertices
         cert = Certificate(parameter, 2, (0, 0), "branch_and_bound", 1)
         assert not check_certificate(star(3), cert)
+
+
+@lru_cache(maxsize=1)
+def _graphs_and_powers():
+    """Every connected graph with n <= 7, each followed by its (4,1) and (4,2)
+    powers when it has an edge."""
+    out = []
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            out.append(g)
+            if g.edge_count:
+                out += [generalized_power(g, 4, 1)[0], generalized_power(g, 4, 2)[0]]
+    return tuple(out)
+
+
+class TestGoldenWitnesses:
+    # Pins the value and the witness of every solve: a search change that keeps
+    # the values but reaches another optimal witness shows here.
+    @pytest.mark.parametrize("fn, digest", [
+        (domination_number, "9a9ba63fed866a9060865b1aae26d97d4cc575949f6c60910e97598586546d40"),
+        (matching_number, "c7232ecbc9dc6cde84a5098da52f757f1869d9494723c34849492a546a970a8a"),
+        (transversal_number, "284969a11c2f9d06c3cf3f7490e4f439b553633edb3de5eee934fb44c0561a2c"),
+    ], ids=["gamma", "nu", "tau"])
+    def test_graphs_and_powers_up_to_n7(self, fn, digest):
+        instances = _graphs_and_powers()
+        assert len(instances) == 2986
+        lines = [f"{c.value} {','.join(map(str, c.witness))}" for c in map(fn, instances)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def _lex_min_cover_witness(h, parameter, value):
