@@ -179,12 +179,11 @@ def _in_family_g1(g: Graph, prof: StructureProfile,
                              {"not_applicable": f"minimum degree {prof.min_degree} != 1"})
     if g.n == 2:
         return FamilyVerdict("G1", True, {"case": "K2"})
-    corona = is_generalized_corona(g)
-    if corona.member:
-        return FamilyVerdict("G1", True, {"case": "generalized_corona",
-                                          "stems": corona.evidence["stems"]})
     removed = set(prof.leaves) | set(prof.stems)
     rest = [v for v in range(g.n) if v not in removed]
+    if not rest:  # every vertex a leaf or a stem: a generalized corona
+        return FamilyVerdict("G1", True, {"case": "generalized_corona",
+                                          "stems": list(prof.stems)})
     stem_neighbor_mask = 0
     for s in prof.stems:
         stem_neighbor_mask |= g.adj[s]

@@ -1,10 +1,11 @@
 """Exact domination, matching, and transversal numbers with certificates.
 
 All three invariants are computed by deterministic branch and bound over
-bitmask state, followed by a second pass that extracts the lexicographically
-smallest optimal witness, so certificates are reproducible across runs.
-An exhaustive mode (plain subset enumeration) is available as a slow
-reference path.
+bitmask state, and every certificate holds the lexicographically smallest
+optimal witness, so certificates are reproducible across runs. For gamma and
+tau a second pass extracts that witness once the value is known; the nu
+search passes through it on the way to the value. An exhaustive mode (plain
+subset enumeration) is available as a slow reference path.
 
 Domination uses co-occurrence adjacency: two hypergraph vertices are
 adjacent when some hyperedge contains both. A vertex lying in no hyperedge
@@ -57,10 +58,18 @@ uncovered candidate, add the vertex of it that meets the most uncovered
 candidates, and repeat. Pairwise disjoint edges meet a transversal in distinct
 vertices, so its size bounds what can still be added. The count only adds
 pruning to the transversal, so values, witnesses and the best value at every
-visited node are those of the transversal alone, with no more nodes. The
-witness pass prunes with the same bound. On C31^(4,1) nu takes 17 nodes, where
-counting distinct lowest vertices took 98,319; a random G(18, 0.3) graph takes
-101, against 1,551 with the transversal alone and 44,929 before it.
+visited node are those of the transversal alone, with no more nodes.
+
+The nu search needs no witness pass. It tries take before drop on the lowest
+candidate, so it reaches packings of one size in the lexicographic order of
+their sorted edge lists, and its first leaf is the greedy packing it starts
+from. Until it reaches the first packing of size nu, the best value is below
+nu, and both bounds are sound, so no node on the path to that packing is
+pruned. Only a strict improvement replaces the witness, so the witness kept
+is that first maximum packing, the lexicographically smallest. On C31^(4,1)
+nu takes 1 node, where counting distinct lowest vertices took 98,319; a
+random G(18, 0.3) graph takes 43, against 1,551 with the transversal alone
+and 44,929 before it.
 """
 
 from __future__ import annotations
@@ -85,7 +94,8 @@ class Certificate:
     witness holds vertex indices for gamma/tau and edge indices for nu; it is
     the lexicographically smallest optimal witness under that order.
     node_count is every search node; witness_nodes is the part of it spent
-    in the witness pass, after the value was known (0 in exhaustive mode).
+    in the gamma/tau witness pass, after the value was known (0 for nu, whose
+    value search finds the witness, and 0 in exhaustive mode).
     """
 
     parameter: str  # "gamma" | "nu" | "tau"
@@ -227,14 +237,14 @@ def _coverage_infeasible(cover_masks: list[int], uncovered: int, budget_sets: in
 
 
 def _min_cover(cover_masks: list[int], coverer_masks: list[int],
-               universe: int, budget: _Budget) -> tuple[int, tuple[int, ...]]:
-    """Minimum number of cover sets whose union is the universe, plus the
-    lexicographically smallest witness of that size.
+               universe: int, budget: _Budget) -> tuple[int, ...]:
+    """The lexicographically smallest of the fewest cover sets whose union is
+    the universe.
 
     coverer_masks[e] is the bitmask of the sets that cover element e.
     """
     if universe == 0:
-        return 0, ()
+        return ()
     universe, union_masks = _reduce_universe(cover_masks, coverer_masks, universe)
     greedy = _greedy_cover(cover_masks, universe)
     best_value = len(greedy)
@@ -310,21 +320,25 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
     lex(0, 0, [])
     if witness is None:
         raise RuntimeError("internal error: optimal cover vanished during reconstruction")
-    return best_value, witness
+    return witness
 
 
-def _min_cover_exhaustive(cover_masks: list[int], universe: int,
-                          budget: _Budget) -> tuple[int, tuple[int, ...]]:
-    n_sets = len(cover_masks)
-    for size in range(n_sets + 1):
-        for combo in combinations(range(n_sets), size):
+def _first_combination(n: int, sizes, accept, budget: _Budget) -> tuple[int, ...]:
+    """The first combination of range(n) that `accept` takes, trying sizes in
+    the order of `sizes` and each size in subset order; one node per try."""
+    for size in sizes:
+        for combo in combinations(range(n), size):
             budget.tick()
-            acc = 0
-            for s in combo:
-                acc |= cover_masks[s]
-            if acc & universe == universe:
-                return size, combo
-    raise ValueError("universe not coverable")
+            if accept(combo):
+                return combo
+    raise ValueError("no combination accepted")
+
+
+def _union(masks: list[int], combo: tuple[int, ...]) -> int:
+    acc = 0
+    for i in combo:
+        acc |= masks[i]
+    return acc
 
 
 def _solve_cover(parameter: str, cover_masks: list[int], coverer_masks: list[int],
@@ -333,10 +347,14 @@ def _solve_cover(parameter: str, cover_masks: list[int], coverer_masks: list[int
     _check_mode(mode)
     budget = _Budget(node_cap)
     if mode == "exhaustive":
-        value, witness = _min_cover_exhaustive(cover_masks, universe, budget)
+        n_sets = len(cover_masks)
+        witness = _first_combination(
+            n_sets, range(n_sets + 1),
+            lambda combo: _union(cover_masks, combo) & universe == universe, budget)
     else:
-        value, witness = _min_cover(cover_masks, coverer_masks, universe, budget)
-    return Certificate(parameter, value, witness, mode, budget.nodes, budget.witness_nodes)
+        witness = _min_cover(cover_masks, coverer_masks, universe, budget)
+    return Certificate(parameter, len(witness), witness, mode, budget.nodes,
+                       budget.witness_nodes)
 
 
 # -- gamma ------------------------------------------------------------------
@@ -365,31 +383,9 @@ def transversal_number(x: Instance, mode: str = "branch_and_bound",
 
 # -- nu -------------------------------------------------------------------------
 
-def matching_number(x: Instance, mode: str = "branch_and_bound",
-                    node_cap: int = DEFAULT_NODE_CAP) -> Certificate:
-    """Maximum number of pairwise disjoint hyperedges; witness is a set of
-    edge indices."""
-    _check_mode(mode)
-    h = _as_hypergraph(x)
+def _max_packing(h: Hypergraph, budget: _Budget) -> tuple[int, ...]:
+    """The lexicographically smallest maximum set of pairwise disjoint edges."""
     masks = h.edge_masks
-    n_edges = len(masks)
-    budget = _Budget(node_cap)
-
-    if mode == "exhaustive":
-        for size in range(n_edges, -1, -1):
-            for combo in combinations(range(n_edges), size):
-                budget.tick()
-                acc = 0
-                ok = True
-                for i in combo:
-                    if acc & masks[i]:
-                        ok = False
-                        break
-                    acc |= masks[i]
-                if ok:
-                    return Certificate("nu", size, combo, mode, budget.nodes)
-        return Certificate("nu", 0, (), mode, budget.nodes)
-
     incidence = h.incidence()
     edge_vertices = h.vertex_lists()
     conflicts = []  # conflicts[i]: the edges that meet edge i, itself included
@@ -441,58 +437,55 @@ def matching_number(x: Instance, mode: str = "branch_and_bound",
             count += 1
         return count
 
-    # greedy initial packing
-    best_value = 0
+    # the greedy packing is the first leaf of the search, and the witness until
+    # a leaf beats it
+    greedy = []
     acc = 0
-    for i in range(n_edges):
-        if not (acc & masks[i]):
-            best_value += 1
-            acc |= masks[i]
+    for i, e in enumerate(masks):
+        if not acc & e:
+            greedy.append(i)
+            acc |= e
+    witness = tuple(greedy)
+    best_value = len(witness)
+    chosen: list[int] = []
 
     def descend(cands: int, count: int):
-        nonlocal best_value
+        nonlocal best_value, witness
         budget.tick(best_value)
         if not cands:
-            best_value = max(best_value, count)
+            if count > best_value:
+                best_value, witness = count, tuple(chosen)
             return
         if count + bound(cands, best_value - count + 1) <= best_value:
             return
         low = cands & -cands
-        descend(cands & ~conflicts[low.bit_length() - 1], count + 1)
+        i = low.bit_length() - 1
+        chosen.append(i)
+        descend(cands & ~conflicts[i], count + 1)
+        chosen.pop()
         descend(cands ^ low, count)
 
-    descend((1 << n_edges) - 1, 0)
+    descend((1 << len(masks)) - 1, 0)
+    return witness
 
-    # lexicographic reconstruction: first packing of optimal size in subset order
-    budget.start_witness()
-    target = best_value
-    witness: Optional[tuple[int, ...]] = None
 
-    def lex(cands: int, chosen: list[int]):
-        nonlocal witness
-        budget.tick(best_value)
-        remaining = target - len(chosen)
-        if not remaining:
-            witness = tuple(chosen)
-            return
-        if bound(cands, remaining) < remaining:
-            return
-        m = cands
-        while m.bit_count() >= remaining:
-            low = m & -m
-            m ^= low
-            i = low.bit_length() - 1
-            chosen.append(i)
-            lex(cands & ~conflicts[i] & ~(low - 1), chosen)
-            chosen.pop()
-            if witness is not None:
-                return
-
-    lex((1 << n_edges) - 1, [])
-    if witness is None:
-        raise RuntimeError("internal error: optimal packing vanished during reconstruction")
-    return Certificate("nu", target, witness, "branch_and_bound", budget.nodes,
-                       budget.witness_nodes)
+def matching_number(x: Instance, mode: str = "branch_and_bound",
+                    node_cap: int = DEFAULT_NODE_CAP) -> Certificate:
+    """Maximum number of pairwise disjoint hyperedges; witness is a set of
+    edge indices."""
+    _check_mode(mode)
+    h = _as_hypergraph(x)
+    budget = _Budget(node_cap)
+    if mode == "exhaustive":
+        masks = h.edge_masks
+        # pairwise disjoint: no vertex is counted twice
+        witness = _first_combination(
+            len(masks), range(len(masks), -1, -1),
+            lambda combo: _union(masks, combo).bit_count() == sum(
+                masks[i].bit_count() for i in combo), budget)
+    else:
+        witness = _max_packing(h, budget)
+    return Certificate("nu", len(witness), witness, mode, budget.nodes)
 
 
 # -- certificate checking and KEG ------------------------------------------------

@@ -351,14 +351,14 @@ class TestNodeCounts:
                         total[1] += witness_nodes
         assert totals[domination_number] == [968, 1797]
         assert totals[transversal_number] == [1991, 2462]
-        assert totals[matching_number] == [2005, 1843]
+        assert totals[matching_number] == [2005, 0]
 
     @pytest.mark.parametrize("fn, x, phases", [
         (transversal_number, cycle(25), (1, 25)),
         (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (14261, 10)),
         (domination_number, generalized_power(cycle(23), 4, 1)[0], (1, 23)),
-        (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 16)),
-        (matching_number, generalized_power(complete(12), 4, 1)[0], (1, 7)),
+        (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 0)),
+        (matching_number, generalized_power(complete(12), 4, 1)[0], (1, 0)),
     ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1", "nu_K12_4_1"])
     def test_named_instances(self, fn, x, phases):
         cert = fn(x)
@@ -372,15 +372,16 @@ class TestNodeCounts:
 
 class TestNuCountingBound:
     # The counting bound only adds pruning to the greedy transversal, so the
-    # value, the witness and the best value at every visited node stay the
-    # same, and neither phase may visit a node the greedy bound alone skips.
+    # value and the best value at every visited node stay the same, and the
+    # search may visit no node the greedy bound alone skips. The witness is
+    # the first maximum packing the search reaches, which must be the one the
+    # oracle's separate witness pass finds.
     @staticmethod
     def _check(x):
         value, witness, value_nodes, witness_nodes = greedy_transversal_nu(x)
         cert = matching_number(x)
         assert (cert.value, cert.witness) == (value, witness)
-        got_value, got_witness = _phases(cert)
-        assert got_value <= value_nodes and got_witness <= witness_nodes
+        assert cert.witness_nodes == 0 and cert.node_count <= value_nodes
         return value_nodes + witness_nodes - cert.node_count
 
     def test_small_graphs_and_powers(self):
@@ -399,7 +400,9 @@ class TestNuCountingBound:
         Hypergraph.from_edge_sets(3, [[0], [1], [2]]),
         Hypergraph.from_edge_sets(3, [[0], [0], [1, 2]]),
         Hypergraph.from_edge_sets(5, [[0, 1], [0, 1, 2], [3], [4]]),
-    ], ids=["empty", "no_edges", "singletons", "repeated_singleton", "nested_and_lonely"])
+        Hypergraph.from_edge_sets(4, [[0, 1], [0, 2], [1, 3]]),
+    ], ids=["empty", "no_edges", "singletons", "repeated_singleton", "nested_and_lonely",
+            "greedy_not_maximum"])
     def test_edge_cases(self, x):
         self._check(x)
 
