@@ -29,12 +29,10 @@ of Knuth's Algorithm X: branch on the uncovered element with the fewest
 coverers (lowest index on ties), and try its coverers by uncovered gain, then
 by index. For gamma the coverers of v are N[v]; for tau they are the vertices
 of the edge, so on a graph tau branches on the lowest uncovered edge. Each
-node is bounded twice: by a greedy packing of uncovered elements no two of
-which share a coverer, and by whether the sets left in the budget can cover
-the uncovered count. Both bounds are exact rewrites of their plain forms (the
-packing drops each chosen element's whole union mask at once; the coverage
-bound tests containment with one set left and sorts gains only when there are
-more sets than budget), so they prune the same nodes.
+node is bounded by a greedy packing of uncovered elements no two of which
+share a coverer, since each of them needs a set of its own. The packing drops
+each chosen element's whole union mask at once, an exact rewrite of the plain
+greedy, so it prunes the same nodes.
 
 The cover witness pass walks covers in subset order. Every element of the
 reduced universe has a last coverer, its highest-index set. After trying set
@@ -219,23 +217,6 @@ def _packing_bound(union_masks: list[int], uncovered: int) -> int:
     return count
 
 
-def _coverage_infeasible(cover_masks: list[int], uncovered: int, budget_sets: int,
-                         start: int = 0) -> bool:
-    """True when even the `budget_sets` best remaining sets cannot cover everything.
-
-    `uncovered` is non-empty. With one set left, that set must cover all of
-    it; otherwise the largest gains must add up to the uncovered count."""
-    if budget_sets <= 0:
-        return uncovered != 0
-    if budget_sets == 1:
-        return all(uncovered & ~m for m in cover_masks[start:])
-    gains = [(m & uncovered).bit_count() for m in cover_masks[start:]]
-    if len(gains) > budget_sets:
-        gains.sort()
-        gains = gains[-budget_sets:]
-    return sum(gains) < uncovered.bit_count()
-
-
 def _min_cover(cover_masks: list[int], coverer_masks: list[int],
                universe: int, budget: _Budget) -> tuple[int, ...]:
     """The lexicographically smallest of the fewest cover sets whose union is
@@ -264,8 +245,6 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
             return
         lb = _packing_bound(union_masks, uncovered)
         if depth + lb >= best_value:
-            return
-        if _coverage_infeasible(cover_masks, uncovered, best_value - depth - 1):
             return
         e = next(e for e in order if uncovered >> e & 1)
         usable = sorted(_mask_to_list(coverer_masks[e] & ~forbidden),
@@ -296,14 +275,14 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
         budget.tick(best_value)
         uncovered = universe & ~covered
         if not uncovered:
-            # a complete cover here always has exactly `target` sets: anything
-            # smaller would contradict optimality of the value phase
+            # a complete cover here has exactly `target` sets: fewer would
+            # contradict the value phase, and more cannot be reached, since a
+            # non-empty uncovered set has a packing bound of at least 1, which
+            # prunes every node whose `remaining` is 0
             witness = tuple(chosen)
             return
         remaining = target - len(chosen)
         if _packing_bound(union_masks, uncovered) > remaining:
-            return
-        if _coverage_infeasible(cover_masks, uncovered, remaining, start):
             return
         for s in range(start, n_sets):
             if n_sets - s < remaining:

@@ -349,14 +349,14 @@ class TestNodeCounts:
                         value_nodes, witness_nodes = _phases(fn(x))
                         total[0] += value_nodes
                         total[1] += witness_nodes
-        assert totals[domination_number] == [968, 1797]
-        assert totals[transversal_number] == [1991, 2462]
+        assert totals[domination_number] == [1806, 1967]
+        assert totals[transversal_number] == [3129, 2862]
         assert totals[matching_number] == [2005, 0]
 
     @pytest.mark.parametrize("fn, x, phases", [
-        (transversal_number, cycle(25), (1, 25)),
-        (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (14261, 10)),
-        (domination_number, generalized_power(cycle(23), 4, 1)[0], (1, 23)),
+        (transversal_number, cycle(25), (3, 25)),
+        (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (38237, 10)),
+        (domination_number, generalized_power(cycle(23), 4, 1)[0], (5, 23)),
         (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 0)),
         (matching_number, generalized_power(complete(12), 4, 1)[0], (1, 0)),
     ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1", "nu_K12_4_1"])
