@@ -178,6 +178,28 @@ class TestGraphFiles:
                                "--graph", str(path), "--no-timestamp")
         assert code == 0 and "tau = 3" in out
 
+    # g_nr:3,1 in both encodings; the config echo carries the relative path
+    G_NR_3_1_EDGES = "n 7\n0 1\n0 2\n0 3\n0 4\n1 2\n3 4\n3 5\n4 6\n"
+    G_NR_3_1_GRAPH6 = "F{cOO\n"
+
+    @pytest.mark.parametrize("argv, file_text, expected", [
+        (["--family", "g_nr:3,1", "--encoding", "edge_list"], None,
+         '# dilations gen | config: {"encoding": "edge_list", "family": "g_nr:3,1", '
+         '"graph": null}\n' + G_NR_3_1_EDGES),
+        (["--graph", "g", "--graph-format", "graph6", "--encoding", "edge_list"],
+         G_NR_3_1_GRAPH6,
+         '# dilations gen | config: {"encoding": "edge_list", "family": null, '
+         '"graph": "g"}\n' + G_NR_3_1_EDGES),
+        (["--graph", "g", "--graph-format", "edge_list"], G_NR_3_1_EDGES,
+         '# dilations gen | config: {"encoding": "graph6", "family": null, '
+         '"graph": "g"}\n' + G_NR_3_1_GRAPH6),
+    ], ids=["family_to_edge_list", "graph6_file_to_edge_list", "edge_list_file_to_graph6"])
+    def test_gen_bytes_pinned(self, capsys, tmp_path, monkeypatch, argv, file_text, expected):
+        monkeypatch.chdir(tmp_path)
+        if file_text is not None:
+            (tmp_path / "g").write_text(file_text)
+        assert run_cli(capsys, "gen", *argv, "--no-timestamp") == (0, expected, "")
+
     def test_out_flag(self, capsys, tmp_path):
         target = tmp_path / "out.txt"
         code, out, _ = run_cli(capsys, "invariant", "--param", "tau",
