@@ -25,8 +25,8 @@ from .families import (derive_g2nb_candidates, extremal_class_gamma1,
                        in_family_g1, in_family_g2b, in_family_g2nb,
                        is_generalized_corona, load_g2nb_candidates,
                        union_family_member)
-from .graphs import (Graph, graph_from_family_string, parse_edge_list,
-                     parse_graph6, to_edge_list, to_graph6)
+from .graphs import (Graph, graph_from_family_string, parse_graph,
+                     serialize_graph, to_graph6)
 from .harness import SUITE_SCALES, SUITES
 from .hypergraphs import (Hypergraph, builtin_hypergraph, parse_hypergraph,
                           to_hypergraph_text)
@@ -86,7 +86,7 @@ def _load_graph(args) -> Graph:
             stripped = next((ln for ln in text.splitlines()
                              if ln.strip() and not ln.lstrip().startswith("#")), "")
             fmt = "edge_list" if len(stripped.split()) == 2 else "graph6"
-        return parse_graph6(text) if fmt == "graph6" else parse_edge_list(text)
+        return parse_graph(fmt, text)
     raise SystemExit2("one of --family or --graph is required")
 
 
@@ -139,6 +139,13 @@ def _add_graph_args(p):
     p.add_argument("--graph-format", choices=["auto", "graph6", "edge_list"], default="auto")
 
 
+def _add_spec_args(p):
+    p.add_argument("--s", help="comma-separated copy-block sizes per vertex")
+    p.add_argument("--s-uniform", type=int)
+    p.add_argument("--a", help="comma-separated additional-block sizes per edge")
+    p.add_argument("--a-uniform", type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dilations",
@@ -161,10 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dilate", parents=[common], help="build a dilation with its witness")
     _add_graph_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", help="comma-separated copy-block sizes per vertex")
-    p.add_argument("--s-uniform", type=int)
-    p.add_argument("--a", help="comma-separated additional-block sizes per edge")
-    p.add_argument("--a-uniform", type=int)
+    _add_spec_args(p)
 
     p = sub.add_parser("power", parents=[common], help="build the generalized power G^(k,s)")
     _add_graph_args(p)
@@ -188,10 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--what", choices=["dilation", "families"], default="families")
     p.add_argument("--k", type=int)
-    p.add_argument("--s", help="comma-separated copy-block sizes per vertex")
-    p.add_argument("--s-uniform", type=int)
-    p.add_argument("--a", help="comma-separated additional-block sizes per edge")
-    p.add_argument("--a-uniform", type=int)
+    _add_spec_args(p)
 
     p = sub.add_parser("berge", parents=[common], help="verify or search Berge witnesses")
     p.add_argument("action", choices=["verify", "search"])
@@ -226,7 +227,7 @@ def _cmd_gen(args, out: _Output):
         out.emit_json("gen", config, _graph_json(g))
         return 0
     out.header("gen", config)
-    out.emit(to_graph6(g) if args.encoding == "graph6" else to_edge_list(g))
+    out.emit(serialize_graph(args.encoding, g))
     return 0
 
 

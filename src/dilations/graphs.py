@@ -506,11 +506,13 @@ class FamilySpec:
         return self.name
 
 
-_FAMILY_ARITY = {
-    "cycle": 1, "path": 1, "complete": 1, "star": 1,
-    "complete_bipartite": 2, "complete_minus_clique": 2,
-    "g_nr": 2, "ghat_nr": 2, "cp_vee_cq": 2,
-    "t1": 0, "t2": 0,
+# name -> (builder, parameter count); corona nests a base spec instead
+_FAMILIES = {
+    "cycle": (cycle, 1), "path": (path, 1), "complete": (complete, 1), "star": (star, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "complete_minus_clique": (complete_minus_clique, 2),
+    "g_nr": (g_nr, 2), "ghat_nr": (ghat_nr, 2), "cp_vee_cq": (cp_vee_cq, 2),
+    "t1": (t1, 0), "t2": (t2, 0),
 }
 
 
@@ -523,9 +525,9 @@ def parse_family(text: str) -> FamilySpec:
         if not rest:
             raise ParseError("corona requires a base family, e.g. corona:cycle:3")
         return FamilySpec("corona", base=parse_family(rest))
-    if name not in _FAMILY_ARITY:
+    if name not in _FAMILIES:
         raise ParseError(f"unknown family {name!r}")
-    arity = _FAMILY_ARITY[name]
+    arity = _FAMILIES[name][1]
     if arity == 0:
         if rest:
             raise ParseError(f"family {name!r} takes no parameters")
@@ -544,16 +546,9 @@ def generate(spec: FamilySpec) -> Graph:
     """Build the graph described by a FamilySpec."""
     if spec.name == "corona":
         return corona(generate(spec.base))
-    builders = {
-        "cycle": cycle, "path": path, "complete": complete, "star": star,
-        "complete_bipartite": complete_bipartite,
-        "complete_minus_clique": complete_minus_clique,
-        "g_nr": g_nr, "ghat_nr": ghat_nr, "cp_vee_cq": cp_vee_cq,
-        "t1": t1, "t2": t2,
-    }
-    if spec.name not in builders:
+    if spec.name not in _FAMILIES:
         raise DomainError(f"unknown family {spec.name!r}")
-    return builders[spec.name](*spec.args)
+    return _FAMILIES[spec.name][0](*spec.args)
 
 
 def graph_from_family_string(text: str) -> Graph:

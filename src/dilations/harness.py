@@ -71,10 +71,17 @@ class VerificationReport:
     suite: str
     config: dict
     seed: Optional[int]
-    instance_count: int = 0
-    pass_count: int = 0
+    instances: list[str] = field(default_factory=list)  # instance keys, sorted
     failures: list[FailureRecord] = field(default_factory=list)
     wall_time: float = 0.0  # informational; excluded from serialized forms
+
+    @property
+    def instance_count(self) -> int:
+        return len(self.instances)
+
+    @property
+    def pass_count(self) -> int:
+        return len(self.instances) - len(self.failures)
 
     @property
     def hard_failures(self) -> list[FailureRecord]:
@@ -121,7 +128,7 @@ class VerificationReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["suite", "instance", "status", "check", "expected", "got"])
         failed = {f.instance: f for f in self.failures}
-        for key in self._instance_keys:
+        for key in self.instances:
             f = failed.get(key)
             if f is None:
                 writer.writerow([self.suite, key, "pass", "", "", ""])
@@ -132,8 +139,6 @@ class VerificationReport:
                                  ";".join(str(c["expected"]) for c in f.checks),
                                  ";".join(str(c["got"]) for c in f.checks)])
         return buf.getvalue()
-
-    _instance_keys: list[str] = field(default_factory=list, init=False, repr=False)
 
 
 class SuiteScale(NamedTuple):
@@ -167,16 +172,12 @@ def _run_suite(suite: str, scale: int, config: dict, worker: Callable,
     if extra_rows is not None:
         results += extra_rows(results)
     results.sort(key=lambda r: r[0])
-    report = VerificationReport(suite, {spec.param: scale, **config}, seed)
-    report._instance_keys = [r[0] for r in results]
-    report.instance_count = len(results)
-    for key, checks, certs, soft in results:
-        if checks:
-            report.failures.append(FailureRecord(key, tuple(checks), certs, soft))
-        else:
-            report.pass_count += 1
-    report.wall_time = time.perf_counter() - t0
-    return report
+    return VerificationReport(
+        suite, {spec.param: scale, **config}, seed,
+        instances=[r[0] for r in results],
+        failures=[FailureRecord(key, tuple(checks), certs, soft)
+                  for key, checks, certs, soft in results if checks],
+        wall_time=time.perf_counter() - t0)
 
 
 def _worker_count(jobs: int, n_tasks: int) -> int:

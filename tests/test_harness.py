@@ -105,10 +105,7 @@ class TestReportFormats:
     def test_failure_record_rendering(self):
         rec = FailureRecord("n3:Bw", ({"check": "nu", "expected": 1, "got": 2},),
                             {"nu_H": domination_number(Hypergraph(1, [])).to_json()})
-        report = VerificationReport("demo", {}, None)
-        report.instance_count = 1
-        report.failures.append(rec)
-        report._instance_keys = ["n3:Bw"]
+        report = VerificationReport("demo", {}, None, instances=["n3:Bw"], failures=[rec])
         text = report.to_text()
         assert "FAIL n3:Bw :: nu" in text
         assert "RESULT: FAIL" in text
@@ -120,10 +117,7 @@ class TestReportFormats:
     def test_soft_failures_do_not_fail_report(self):
         rec = FailureRecord("x", ({"check": "c", "expected": 1, "got": 2},),
                             {}, soft=True)
-        report = VerificationReport("demo", {}, None)
-        report.instance_count = 1
-        report.failures.append(rec)
-        report._instance_keys = ["x"]
+        report = VerificationReport("demo", {}, None, instances=["x"], failures=[rec])
         assert report.ok
         assert "FLAGGED" in report.to_text()
 
