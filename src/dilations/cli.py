@@ -461,7 +461,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except SearchBudgetExceeded as exc:
-        sys.stderr.write(f"timeout: {exc} (nodes: {exc.node_count})\n")
+        bound = "" if exc.best_bound is None else f", best bound: {exc.best_bound}"
+        sys.stderr.write(f"timeout: {exc} (nodes: {exc.node_count}{bound})\n")
         return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -101,7 +101,7 @@ def derive_g2nb_candidates(max_n: int) -> list[Graph]:
     out = []
     for n in range(3, max_n + 1):
         for g in enumerate_connected(n, min_degree=2, bipartite=False):
-            if domination_number(g).value == matching_number(g).value:
+            if domination_number(g, lex_witness=False).value == matching_number(g).value:
                 out.append(g)
     return out
 
@@ -244,11 +244,11 @@ def _component_condition(sub: Graph, u_set: frozenset[int],
     if not u_set or len(u_set) >= sub.n:
         reasons["iii"] = {"attachment_set_not_proper": sorted(u_set)}
         return False, {"condition": "none", "reasons": reasons}
-    base_gamma = domination_number(sub).value
+    base_gamma = domination_number(sub, lex_witness=False).value
     for size in range(1, len(u_set) + 1):
         for subset in combinations(sorted(u_set), size):
             keep = [v for v in range(sub.n) if v not in subset]
-            reduced_gamma = domination_number(sub.induced_subgraph(keep)).value
+            reduced_gamma = domination_number(sub.induced_subgraph(keep), lex_witness=False).value
             if reduced_gamma != base_gamma:
                 reasons["iii"] = {"gamma_unstable_under_removal": list(subset),
                                   "gamma": base_gamma,
@@ -278,9 +278,9 @@ def predict_gamma(g: Graph, cls: DilationClass | str) -> int:
     if isinstance(cls, str):
         cls = DilationClass(cls.lower())
     if cls is DilationClass.GAMMA0:
-        return domination_number(g).value
+        return domination_number(g, lex_witness=False).value
     if cls is DilationClass.GAMMA1:
-        return transversal_number(g).value
+        return transversal_number(g, lex_witness=False).value
     raise DomainError("prediction is only defined for gamma0 and gamma1 dilations")
 
 

@@ -270,6 +270,7 @@ class TestExitCodes:
                                "--family", "complete_minus_clique:4,2",
                                "--node-cap", "3")
         assert code == 3 and "timeout" in err
+        assert "(nodes: 4, best bound: 6)" in err  # the greedy cover's size
 
     @pytest.mark.parametrize("suite", ["hereditary", "extremal-gamma1",
                                        "extremal-gamma0", "nonextremal", "all"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -5,7 +6,8 @@ import jsonschema
 import pytest
 
 from dilations import harness
-from dilations.dilation import DilationSpec, RankDeficitWarning, dilate
+from dilations.dilation import (DilationClass, DilationSpec, RankDeficitWarning,
+                                classify_dilation, dilate)
 from dilations.errors import DomainError
 from dilations.graphs import cycle
 from dilations.harness import (SUITE_SCALES, SUITES, FailureRecord,
@@ -14,7 +16,9 @@ from dilations.harness import (SUITE_SCALES, SUITES, FailureRecord,
                                crosscheck_extremal_gamma1, verify_counterexample,
                                verify_hereditary, verify_nonextremal)
 from dilations.hypergraphs import Hypergraph
-from dilations.invariants import check_certificate, domination_number
+from dilations.families import (in_family_g2b, load_g2nb_candidates,
+                                union_family_member)
+from dilations.invariants import DEFAULT_NODE_CAP, check_certificate, domination_number, is_keg
 from importlib import resources
 
 
@@ -136,3 +140,49 @@ class TestFailureCertificates:
                               tuple(stored["witness"]), stored["mode"],
                               stored["node_count"])
         assert check_certificate(h, rebuilt)
+
+
+def _flip_on_even_n(fn, field):
+    """fn with the boolean `field` of its verdict negated on graphs of even order."""
+    def flipped(g, *args, **kwargs):
+        verdict = fn(g, *args, **kwargs)
+        return dataclasses.replace(verdict, **{field: getattr(verdict, field) != (g.n % 2 == 0)})
+    return flipped
+
+
+def _swap_gamma_classes(h, w):
+    swap = {DilationClass.GAMMA0: DilationClass.GAMMA1, DilationClass.GAMMA1: DilationClass.GAMMA0}
+    cls = classify_dilation(h, w)
+    return swap.get(cls, cls)
+
+
+class TestWitnessRetry:
+    # A worker's first pass skips the gamma/tau witness passes; a failing task
+    # runs again with them, so its record is what a single run with witness
+    # passes gives. Wrong verdicts are patched in to make some tasks fail.
+    @pytest.mark.parametrize("worker, tasks, name, fake", [
+        (harness._hereditary_worker,
+         lambda: list(harness._graph_tasks(4, 7, 1, DEFAULT_NODE_CAP)),
+         "classify_dilation", _swap_gamma_classes),
+        (harness._gamma1_worker, lambda: list(harness._graph_tasks(5, DEFAULT_NODE_CAP)),
+         "is_keg", _flip_on_even_n(is_keg, "keg")),
+        (harness._gamma0_worker,
+         lambda: list(harness._graph_tasks(5, DEFAULT_NODE_CAP, load_g2nb_candidates())),
+         "union_family_member", _flip_on_even_n(union_family_member, "member")),
+        (harness._counterexample_worker,
+         lambda: [(n, DEFAULT_NODE_CAP, load_g2nb_candidates()) for n in range(2, 6)],
+         "in_family_g2b", _flip_on_even_n(in_family_g2b, "member")),
+    ], ids=["hereditary", "extremal-gamma1", "extremal-gamma0", "counterexample"])
+    def test_failure_records_carry_lex_witnesses(self, monkeypatch, worker, tasks, name, fake):
+        monkeypatch.setattr(harness, name, fake)
+        tasks = tasks()
+        failing = []
+        for task in tasks:
+            result = worker(task)
+            assert result == worker.__wrapped__(task, lex_witness=True)
+            if result[1]:
+                failing.append((task, result))
+        assert 0 < len(failing) < len(tasks)
+        # the records differ from the first pass's, so the second pass is needed
+        assert any(worker.__wrapped__(task, lex_witness=False) != result
+                   for task, result in failing)

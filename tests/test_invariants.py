@@ -349,14 +349,14 @@ class TestNodeCounts:
                         value_nodes, witness_nodes = _phases(fn(x))
                         total[0] += value_nodes
                         total[1] += witness_nodes
-        assert totals[domination_number] == [1806, 1967]
-        assert totals[transversal_number] == [3129, 2862]
+        assert totals[domination_number] == [981, 1743]
+        assert totals[transversal_number] == [1452, 2493]
         assert totals[matching_number] == [2005, 0]
 
     @pytest.mark.parametrize("fn, x, phases", [
         (transversal_number, cycle(25), (3, 25)),
-        (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (38237, 10)),
-        (domination_number, generalized_power(cycle(23), 4, 1)[0], (5, 23)),
+        (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (9, 10)),
+        (domination_number, generalized_power(cycle(23), 4, 1)[0], (3, 23)),
         (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 0)),
         (matching_number, generalized_power(complete(12), 4, 1)[0], (1, 0)),
     ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1", "nu_K12_4_1"])
@@ -368,6 +368,35 @@ class TestNodeCounts:
 
     def test_exhaustive_mode_has_no_witness_phase(self):
         assert domination_number(cycle(5), mode="exhaustive").witness_nodes == 0
+
+
+class TestValueOnly:
+    # lex_witness=False stops after the value search: same value, a witness
+    # that rechecks, and exactly the default's value-phase nodes
+    def test_small_graphs_and_powers(self):
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                instances = [g]
+                if g.edge_count:
+                    instances += [generalized_power(g, 4, 1)[0], generalized_power(g, 4, 2)[0]]
+                for x in instances:
+                    for fn in (domination_number, transversal_number):
+                        lex = fn(x)
+                        fast = fn(x, lex_witness=False)
+                        assert fast.value == lex.value
+                        assert check_certificate(x, fast)
+                        assert fast.node_count == lex.node_count - lex.witness_nodes
+                        assert fast.witness_nodes == 0
+
+    def test_exhaustive_mode_ignores_flag(self):
+        for fn in (domination_number, transversal_number):
+            assert fn(cycle(7), mode="exhaustive", lex_witness=False) == fn(
+                cycle(7), mode="exhaustive")
+
+    def test_keg_passes_flag_to_tau(self):
+        v = is_keg(cp_vee_cq(4, 3), lex_witness=False)
+        assert v.tau == transversal_number(cp_vee_cq(4, 3), lex_witness=False)
+        assert v.nu == matching_number(cp_vee_cq(4, 3))
 
 
 class TestNuCountingBound:
