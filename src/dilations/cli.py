@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: gen, dilate, power, invariant, keg, classify, berge, enumerate,
-derive-nb, verify. Every run echoes its effective configuration; text and csv
-output carry it as '#' comment lines, json embeds it in the document. Exit
-codes: 0 success, 1 verification failure, 2 usage error, 3 search budget
-exceeded.
+derive-nb, verify. Each subcommand returns its effective configuration and a
+payload, the JSON result under --format json and otherwise the text lines;
+`main` alone writes them, to stdout or --out. Text and csv output carry the
+configuration as '#' comment lines, json embeds it in the document. Exit
+codes: 0 success, 1 verification failure, 2 usage error (including an input
+file that cannot be read or parsed, a malformed witness and an --out path
+that cannot be written), 3 search budget exceeded.
 """
 
 from __future__ import annotations
@@ -36,36 +39,6 @@ from .isomorphism import canonical_form, enumerate_connected
 
 _INVARIANT_FNS = {"gamma": domination_number, "nu": matching_number,
                   "tau": transversal_number}
-
-
-class _Output:
-    def __init__(self, args):
-        self.fmt = args.format
-        self.no_timestamp = args.no_timestamp
-        self.path = args.out
-        self.lines: list[str] = []
-
-    def header(self, command: str, config: dict):
-        if self.fmt in ("text", "csv"):
-            self.lines.append(f"# dilations {command} | config: "
-                              + json.dumps(config, sort_keys=True))
-            if not self.no_timestamp:
-                self.lines.append("# generated: "
-                                  + datetime.now(timezone.utc).isoformat())
-
-    def emit(self, text: str):
-        self.lines.append(text.rstrip("\n"))
-
-    def emit_json(self, command: str, config: dict, result: dict):
-        doc = {"command": command, "config": config, "result": result}
-        self.lines.append(json.dumps(doc, indent=2, sort_keys=True))
-
-    def flush(self):
-        text = "\n".join(self.lines) + "\n"
-        if self.path:
-            Path(self.path).write_text(text)
-        else:
-            sys.stdout.write(text)
 
 
 def _graph_json(g: Graph) -> dict:
@@ -220,23 +193,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args, out: _Output):
-    g = _load_graph(args)
-    config = {"family": args.family, "graph": args.graph, "encoding": args.encoding}
-    if args.format == "json":
-        out.emit_json("gen", config, _graph_json(g))
-        return 0
-    out.header("gen", config)
-    out.emit(serialize_graph(args.encoding, g))
-    return 0
+def _payload(args, result: dict, lines: list[str]):
+    """What main writes: the JSON result under --format json, else the text lines."""
+    return result if args.format == "json" else lines
 
 
-def _dilation_result(g, h, w):
+def _build_dilation(build, *params):
+    """Call `dilate` or `generalized_power`; the output reports a rank deficit,
+    so its warning is silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficitWarning)
+        return build(*params)
+
+
+def _dilation_payload(args, g, h, w, rank_note: str):
+    """The payload of dilate and power; text mode skips the property checks."""
+    cls = classify_dilation(h, w).value
+    if args.format != "json":
+        return [f"# class: {cls}, rank {h.rank}{rank_note}", to_hypergraph_text(h)]
     report = check_dilation_properties(g, h, w)
     return {
         "hypergraph": _hypergraph_json(h),
         "witness": w.to_json(),
-        "class": classify_dilation(h, w).value,
+        "class": cls,
         "rank": h.rank,
         "declared_rank": w.declared_rank,
         "rank_attained": h.rank == w.declared_rank,
@@ -249,39 +228,29 @@ def _dilation_result(g, h, w):
     }
 
 
-def _cmd_dilate(args, out: _Output):
+def _cmd_gen(args):
+    g = _load_graph(args)
+    config = {"family": args.family, "graph": args.graph, "encoding": args.encoding}
+    return config, _payload(args, _graph_json(g), [serialize_graph(args.encoding, g)])
+
+
+def _cmd_dilate(args):
     g = _load_graph(args)
     spec = _build_spec(args, g)
     config = {"family": args.family, "graph": args.graph, "k": spec.k,
               "s": list(spec.s), "a": list(spec.a)}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficitWarning)
-        h, w = dilate(g, spec)
-    if args.format == "json":
-        out.emit_json("dilate", config, _dilation_result(g, h, w))
-        return 0
-    out.header("dilate", config)
-    out.emit(f"# class: {classify_dilation(h, w).value}, rank {h.rank} of declared {spec.k}")
-    out.emit(to_hypergraph_text(h))
-    return 0
+    h, w = _build_dilation(dilate, g, spec)
+    return config, _dilation_payload(args, g, h, w, f" of declared {spec.k}")
 
 
-def _cmd_power(args, out: _Output):
+def _cmd_power(args):
     g = _load_graph(args)
     config = {"family": args.family, "graph": args.graph, "k": args.k, "s": args.s}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficitWarning)
-        h, w = generalized_power(g, args.k, args.s)
-    if args.format == "json":
-        out.emit_json("power", config, _dilation_result(g, h, w))
-        return 0
-    out.header("power", config)
-    out.emit(f"# class: {classify_dilation(h, w).value}, rank {h.rank}")
-    out.emit(to_hypergraph_text(h))
-    return 0
+    h, w = _build_dilation(generalized_power, g, args.k, args.s)
+    return config, _dilation_payload(args, g, h, w, "")
 
 
-def _cmd_invariant(args, out: _Output):
+def _cmd_invariant(args):
     if args.hypergraph:
         target = _load_hypergraph(args.hypergraph)
         source = {"hypergraph": args.hypergraph}
@@ -290,28 +259,19 @@ def _cmd_invariant(args, out: _Output):
         source = {"family": args.family, "graph": args.graph}
     config = {**source, "param": args.param, "mode": args.mode, "node_cap": args.node_cap}
     cert = _INVARIANT_FNS[args.param](target, mode=args.mode, node_cap=args.node_cap)
-    if args.format == "json":
-        out.emit_json("invariant", config, cert.to_json())
-        return 0
-    out.header("invariant", config)
-    out.emit(f"{cert.parameter} = {cert.value}")
-    return 0
+    return config, _payload(args, cert.to_json(), [f"{cert.parameter} = {cert.value}"])
 
 
-def _cmd_keg(args, out: _Output):
+def _cmd_keg(args):
     g = _load_graph(args)
     config = {"family": args.family, "graph": args.graph, "node_cap": args.node_cap}
     verdict = is_keg(g, node_cap=args.node_cap)
-    if args.format == "json":
-        out.emit_json("keg", config, verdict.to_json())
-        return 0
-    out.header("keg", config)
-    out.emit(f"keg = {str(verdict.keg).lower()}"
-             f" (tau = {verdict.tau.value}, nu = {verdict.nu.value})")
-    return 0
+    return config, _payload(args, verdict.to_json(), [
+        f"keg = {str(verdict.keg).lower()}"
+        f" (tau = {verdict.tau.value}, nu = {verdict.nu.value})"])
 
 
-def _cmd_classify(args, out: _Output):
+def _cmd_classify(args):
     g = _load_graph(args)
     if args.what == "dilation":
         if args.k is None:
@@ -319,16 +279,8 @@ def _cmd_classify(args, out: _Output):
         spec = _build_spec(args, g)
         config = {"family": args.family, "graph": args.graph, "what": "dilation",
                   "k": spec.k, "s": list(spec.s), "a": list(spec.a)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankDeficitWarning)
-            h, w = dilate(g, spec)
-        cls = classify_dilation(h, w).value
-        if args.format == "json":
-            out.emit_json("classify", config, {"class": cls})
-            return 0
-        out.header("classify", config)
-        out.emit(f"class = {cls}")
-        return 0
+        cls = classify_dilation(*_build_dilation(dilate, g, spec)).value
+        return config, _payload(args, {"class": cls}, [f"class = {cls}"])
     config = {"family": args.family, "graph": args.graph, "what": "families"}
     nb_list = load_g2nb_candidates()
     extremal = extremal_class_gamma1(g) if g.is_connected() and g.edge_count else None
@@ -341,18 +293,14 @@ def _cmd_classify(args, out: _Output):
         if g.is_connected() else None,
         "extremal_gamma1": extremal.to_json() if extremal else None,
     }
-    if args.format == "json":
-        out.emit_json("classify", config, result)
-        return 0
-    out.header("classify", config)
-    for name in ("g2b", "g2nb", "g1", "generalized_corona"):
-        out.emit(f"{name}: member = {str(result[name]['member']).lower()}")
+    lines = [f"{name}: member = {str(result[name]['member']).lower()}"
+             for name in ("g2b", "g2nb", "g1", "generalized_corona")]
     if extremal:
-        out.emit(f"extremal_gamma1: {extremal.kind} (gamma = {extremal.realized_gamma})")
-    return 0
+        lines.append(f"extremal_gamma1: {extremal.kind} (gamma = {extremal.realized_gamma})")
+    return config, _payload(args, result, lines)
 
 
-def _cmd_berge(args, out: _Output):
+def _cmd_berge(args):
     g = _load_graph(args)
     h = _load_hypergraph(args.hypergraph)
     config = {"family": args.family, "graph": args.graph,
@@ -362,60 +310,34 @@ def _cmd_berge(args, out: _Output):
             raise SystemExit2("berge verify requires --witness")
         w = BergeWitness.from_json(json.loads(Path(args.witness).read_text()))
         valid = verify_berge_witness(g, h, w)
-        if args.format == "json":
-            out.emit_json("berge", config, {"valid": valid, "witness": w.to_json()})
-            return 0
-        out.header("berge", config)
-        out.emit(f"valid = {str(valid).lower()}")
-        return 0
+        return config, _payload(args, {"valid": valid, "witness": w.to_json()},
+                                [f"valid = {str(valid).lower()}"])
     witness = search_berge_witness(g, h, node_cap=args.node_cap)
-    result = {"found": witness is not None,
-              "witness": witness.to_json() if witness else None}
-    if args.format == "json":
-        out.emit_json("berge", config, result)
-        return 0
-    out.header("berge", config)
     if witness is None:
-        out.emit("NotBerge")
-    else:
-        out.emit("witness found")
-        out.emit(json.dumps(witness.to_json(), sort_keys=True))
-    return 0
+        return config, _payload(args, {"found": False, "witness": None}, ["NotBerge"])
+    return config, _payload(args, {"found": True, "witness": witness.to_json()}, [
+        "witness found", json.dumps(witness.to_json(), sort_keys=True)])
 
 
-def _cmd_enumerate(args, out: _Output):
+def _cmd_enumerate(args):
     bipartite = True if args.bipartite else (False if args.non_bipartite else None)
     config = {"n": args.n, "min_degree": args.min_degree, "bipartite": bipartite}
-    graphs = list(enumerate_connected(args.n, min_degree=args.min_degree,
-                                      bipartite=bipartite))
-    if args.format == "json":
-        out.emit_json("enumerate", config,
-                      {"count": len(graphs), "graphs": [to_graph6(g) for g in graphs]})
-        return 0
-    out.header("enumerate", config)
-    for g in graphs:
-        out.emit(to_graph6(g))
-    return 0
+    codes = [to_graph6(g) for g in enumerate_connected(
+        args.n, min_degree=args.min_degree, bipartite=bipartite)]
+    return config, _payload(args, {"count": len(codes), "graphs": codes}, codes)
 
 
-def _cmd_derive_nb(args, out: _Output):
+def _cmd_derive_nb(args):
     config = {"max_n": args.max_n}
-    graphs = derive_g2nb_candidates(args.max_n)
-    codes = [canonical_form(g) for g in graphs]
-    if args.format == "json":
-        out.emit_json("derive-nb", config,
-                      {"cap": args.max_n, "count": len(codes), "graphs": codes})
-        return 0
-    out.header("derive-nb", config)
-    for code in codes:
-        out.emit(code)
-    return 0
+    codes = [canonical_form(g) for g in derive_g2nb_candidates(args.max_n)]
+    return config, _payload(args, {"cap": args.max_n, "count": len(codes), "graphs": codes},
+                            codes)
 
 
-def _cmd_verify(args, out: _Output):
+def _cmd_verify(args):
+    """Also returns the exit code: 1 when some suite fails."""
     run_all = args.suite == "all"
     names = sorted(SUITES) if run_all else [args.suite]
-    exit_code = 0
     reports = []
     for name in names:
         spec = SUITE_SCALES[name]
@@ -423,21 +345,13 @@ def _cmd_verify(args, out: _Output):
         if run_all:
             scale = min(scale, spec.cap)  # suites have different caps
         extra = (args.samples, args.seed) if name == "hereditary" else ()
-        report = SUITES[name](scale, *extra, args.node_cap, args.jobs)
-        reports.append(report)
-        if not report.ok:
-            exit_code = 1
+        reports.append(SUITES[name](scale, *extra, args.node_cap, args.jobs))
+    ok = all(r.ok for r in reports)
     config = {"suites": names, "max_n": args.max_n, "samples": args.samples,
               "seed": args.seed}
-    if args.format == "json":
-        out.emit_json("verify", config,
-                      {"reports": [r.to_json_dict() for r in reports],
-                       "ok": exit_code == 0})
-        return exit_code
-    out.header("verify", config)
-    for report in reports:
-        out.emit(report.to_csv() if args.format == "csv" else report.to_text())
-    return exit_code
+    lines = [r.to_csv() if args.format == "csv" else r.to_text() for r in reports]
+    result = {"reports": [r.to_json_dict() for r in reports], "ok": ok}
+    return config, _payload(args, result, lines), int(not ok)
 
 
 _COMMANDS = {
@@ -454,9 +368,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    out = _Output(args)
     try:
-        code = _COMMANDS[args.command](args, out)
+        config, payload, *code = _COMMANDS[args.command](args)
+        if args.format == "json":
+            doc = {"command": args.command, "config": config, "result": payload}
+            lines = [json.dumps(doc, indent=2, sort_keys=True)]
+        else:
+            lines = [f"# dilations {args.command} | config: "
+                     + json.dumps(config, sort_keys=True)]
+            if not args.no_timestamp:
+                lines.append("# generated: " + datetime.now(timezone.utc).isoformat())
+            lines += (line.rstrip("\n") for line in payload)
+        text = "\n".join(lines) + "\n"
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -467,8 +394,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    out.flush()
-    return code
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

@@ -265,6 +265,12 @@ class TestExitCodes:
                                "--graph", "/nonexistent/g.el")
         assert code == 2
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, "gen", "--family", "cycle:3", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
     def test_timeout_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "invariant", "--param", "tau",
                                "--family", "complete_minus_clique:4,2",
