@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SearchBudgetExceeded, StructuralError
+from .errors import ParseError, SearchBudgetExceeded, StructuralError
 from .graphs import Graph
 from .hypergraphs import Hypergraph
 
@@ -30,8 +30,18 @@ class BergeWitness:
         return {"injection": list(self.injection), "edge_map": list(self.edge_map)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "BergeWitness":
-        return cls(tuple(data["injection"]), tuple(data["edge_map"]))
+    def from_json(cls, data) -> "BergeWitness":
+        """Raises ParseError unless `data` is an object whose "injection" and
+        "edge_map" are lists of integers."""
+        if not isinstance(data, dict):
+            raise ParseError("witness must be a JSON object")
+        fields = []
+        for key in ("injection", "edge_map"):
+            value = data.get(key)
+            if not isinstance(value, list) or any(type(x) is not int for x in value):
+                raise ParseError(f"witness {key!r} must be a list of integers")
+            fields.append(tuple(value))
+        return cls(*fields)
 
 
 def natural_berge_witness(block_witness) -> BergeWitness:

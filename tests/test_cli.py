@@ -162,6 +162,19 @@ class TestBerge:
                                "--no-timestamp")
         assert code == 0 and "valid = true" in out
 
+    @pytest.mark.parametrize("witness, message", [
+        ({"injection": [0, 1, 2]}, "witness 'edge_map' must be a list of integers"),
+        ({"injection": "abc", "edge_map": [0, 1, 2]},
+         "witness 'injection' must be a list of integers"),
+        ([[0, 1, 2], [0, 1, 2]], "witness must be a JSON object"),
+    ], ids=["missing_key", "wrong_type", "top_level_array"])
+    def test_verify_malformed_witness_is_usage_error(self, capsys, tmp_path, witness, message):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(witness))
+        code, out, err = run_cli(capsys, "berge", "verify", "--family", "cycle:7",
+                                 "--hypergraph", "fano", "--witness", str(wfile))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestGraphFiles:
     def test_edge_list_file(self, capsys, tmp_path):
