@@ -381,62 +381,29 @@ def crosscheck_extremal_gamma0(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
 # -- nonextremal suite ---------------------------------------------------------------
 
 def _nonextremal_worker(task) -> tuple[str, list[dict], dict, bool]:
-    kind, n, r, node_cap = task
+    key, g, power_s, n, predicted_gamma, node_cap = task
+    h, _ = generalized_power(g, 4, power_s)
+    nu_h = matching_number(h, node_cap=node_cap)
+    gamma_h = domination_number(h, node_cap=node_cap)
     checks: list[dict] = []
-    certs: dict = {}
-
-    def solve(g: Graph, power_s: int):
-        h, _ = generalized_power(g, 4, power_s)
-        return (matching_number(h, node_cap=node_cap),
-                domination_number(h, node_cap=node_cap))
-
-    if kind == "odd-cycle":
-        nu_h, gamma_h = solve(cycle(2 * n + 1), 1)
-        key = f"n{n}:C{2 * n + 1}:gamma1"
-        _check(checks, "nu", n, nu_h.value)
-        _check(checks, "gamma", n + 1, gamma_h.value)
-    elif kind == "complete-gamma1":
-        nu_h, gamma_h = solve(complete(2 * n), 1)
-        key = f"n{n}:K{2 * n}:gamma1"
-        _check(checks, "nu", n, nu_h.value)
-        _check(checks, "gamma", 2 * n - 1, gamma_h.value)
-    elif kind == "complete-gamma0":
-        nu_h, gamma_h = solve(complete(2 * n), 2)
-        key = f"n{n}:K{2 * n}:gamma0"
-        _check(checks, "nu", n, nu_h.value)
-        _check(checks, "gamma", 1, gamma_h.value)
-    elif kind == "clique-deleted":
-        nu_h, gamma_h = solve(complete_minus_clique(n, r), 1)
-        key = f"n{n}:K{2 * n}-K{r}:gamma1"
-        _check(checks, "nu", n, nu_h.value)
-        _check(checks, "gamma", 2 * n - r, gamma_h.value)
-    elif kind == "triangle-family":
-        nu_h, gamma_h = solve(g_nr(n, r), 2)
-        key = f"n{n}:G({n},{r}):gamma0"
-        _check(checks, "nu", n, nu_h.value)
-        _check(checks, "gamma", 2 * r + 1, gamma_h.value)
-    elif kind == "triangle-family-hat":
-        nu_h, gamma_h = solve(ghat_nr(n, r), 2)
-        key = f"n{n}:Ghat({n},{r}):gamma0"
-        _check(checks, "nu", n, nu_h.value)
-        _check(checks, "gamma", 2 * r, gamma_h.value)
-    else:
-        raise ValueError(kind)
-    certs = {"nu_H": nu_h.to_json(), "gamma_H": gamma_h.to_json()}
-    return key, checks, certs, False
+    _check(checks, "nu", n, nu_h.value)
+    _check(checks, "gamma", predicted_gamma, gamma_h.value)
+    return key, checks, {"nu_H": nu_h.to_json(), "gamma_H": gamma_h.to_json()}, False
 
 
 def _nonextremal_tasks(n_max: int, node_cap: int):
+    """One task per construction: its instance key, the graph G, the s of the
+    power G^(4,s), the matching number n and the predicted gamma of the power."""
     for n in range(2, n_max + 1):
-        yield ("odd-cycle", n, 0, node_cap)
-        yield ("complete-gamma1", n, 0, node_cap)
-        yield ("complete-gamma0", n, 0, node_cap)
+        yield f"n{n}:C{2 * n + 1}:gamma1", cycle(2 * n + 1), 1, n, n + 1, node_cap
+        yield f"n{n}:K{2 * n}:gamma1", complete(2 * n), 1, n, 2 * n - 1, node_cap
+        yield f"n{n}:K{2 * n}:gamma0", complete(2 * n), 2, n, 1, node_cap
         for r in range(2, n):
-            yield ("clique-deleted", n, r, node_cap)
-        if n > 2:
-            for r in range(1, (n - 1) // 2 + 1):
-                yield ("triangle-family", n, r, node_cap)
-                yield ("triangle-family-hat", n, r, node_cap)
+            yield (f"n{n}:K{2 * n}-K{r}:gamma1", complete_minus_clique(n, r), 1, n,
+                   2 * n - r, node_cap)
+        for r in range(1, (n - 1) // 2 + 1):
+            yield f"n{n}:G({n},{r}):gamma0", g_nr(n, r), 2, n, 2 * r + 1, node_cap
+            yield f"n{n}:Ghat({n},{r}):gamma0", ghat_nr(n, r), 2, n, 2 * r, node_cap
 
 
 def _coverage_rows(results: list, n_max: int) -> list:
