@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen, dilate, power, invariant, keg, classify, berge, enumerate,
-derive-nb, verify. Each subcommand returns its effective configuration and a
+derive-nb, verify. Each subcommand accepts only the options it reads and
+at most one input source. It returns its effective configuration and a
 payload, the JSON result under --format json and otherwise the text lines;
 `main` alone writes them, to stdout or --out. Text and csv output carry the
 configuration as '#' comment lines, json embeds it in the document. Exit
@@ -107,9 +108,12 @@ def _build_spec(args, g: Graph) -> DilationSpec:
 
 
 def _add_graph_args(p):
-    p.add_argument("--family", help="family spec string, e.g. 'cycle:5' or 'corona:cycle:3'")
-    p.add_argument("--graph", help="path to a graph6 or edge-list file")
+    """Add the graph inputs; returns their mutually exclusive group."""
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--family", help="family spec string, e.g. 'cycle:5' or 'corona:cycle:3'")
+    source.add_argument("--graph", help="path to a graph6 or edge-list file")
     p.add_argument("--graph-format", choices=["auto", "graph6", "edge_list"], default="auto")
+    return source
 
 
 def _add_spec_args(p):
@@ -127,11 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dilations {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=_int_at_least(1), default=1)
-    common.add_argument("--node-cap", type=_int_at_least(1), default=DEFAULT_NODE_CAP)
     common.add_argument("--no-timestamp", action="store_true")
     common.add_argument("--out", help="write output to this path instead of stdout")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--node-cap", type=_int_at_least(1), default=DEFAULT_NODE_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="emit a graph from a family spec")
@@ -148,15 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
 
-    p = sub.add_parser("invariant", parents=[common],
+    p = sub.add_parser("invariant", parents=[capped],
                        help="compute gamma, nu, or tau with a certificate")
-    _add_graph_args(p)
-    p.add_argument("--hypergraph", help="hypergraph file path, or builtin name 'fano'")
+    _add_graph_args(p).add_argument("--hypergraph",
+                                    help="hypergraph file path, or builtin name 'fano'")
     p.add_argument("--param", choices=["gamma", "nu", "tau"], required=True)
     p.add_argument("--mode", choices=["branch_and_bound", "exhaustive"],
                    default="branch_and_bound")
 
-    p = sub.add_parser("keg", parents=[common],
+    p = sub.add_parser("keg", parents=[capped],
                        help="test tau = nu with both certificates")
     _add_graph_args(p)
 
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     _add_spec_args(p)
 
-    p = sub.add_parser("berge", parents=[common], help="verify or search Berge witnesses")
+    p = sub.add_parser("berge", parents=[capped], help="verify or search Berge witnesses")
     p.add_argument("action", choices=["verify", "search"])
     _add_graph_args(p)
     p.add_argument("--hypergraph", required=True,
@@ -186,8 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="derive the non-bipartite min-degree-2 candidates")
     p.add_argument("--max-n", type=int, default=8)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[capped], help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--max-n", type=int)
     p.add_argument("--samples", type=_int_at_least(0), default=1)
     return parser

@@ -26,9 +26,11 @@ CLI runs by default. Each public suite function builds its config and task
 list; one driver checks the scale against the table, runs the tasks serially
 or in a process pool, and tallies the results into a VerificationReport.
 
-Only the nonextremal suite reads certificates of passing instances. The
-other four solve gamma and tau without the lexicographic witness pass and
-solve a task again with it when one of its checks fails.
+Every worker takes `lex_witness`. The driver's first pass solves gamma and
+tau without the lexicographic witness pass, since a passing task reads only
+values (the nonextremal coverage rows too). It then solves the failing tasks
+again with the pass, so a failure record carries the same certificates as a
+single run with witness passes would.
 """
 
 from __future__ import annotations
@@ -165,15 +167,22 @@ SUITE_SCALES = {
 def _run_suite(suite: str, scale: int, config: dict, worker: Callable,
                tasks: Iterable, jobs: int, seed: Optional[int] = None,
                extra_rows: Optional[Callable[[list], list]] = None) -> VerificationReport:
-    """Check `scale` against the suite's table entry, then run `tasks` and
-    tally the results, sorted by instance key, into a report. `tasks` is
+    """Check `scale` against the suite's table entry, run `worker` on `tasks`
+    with lex_witness=False, run the failing ones again with lex_witness=True,
+    and tally the results, sorted by instance key, into a report. `tasks` is
     iterated only after the check, so a generator builds no task for an
     unsupported scale. `extra_rows` derives further rows from all results."""
     spec = SUITE_SCALES[suite]
     if not 2 <= scale <= spec.cap:
         raise DomainError(f"{suite} suite supports 2 <= {spec.param} <= {spec.cap}")
     t0 = time.perf_counter()
-    results = _run_tasks(list(tasks), worker, jobs)
+    tasks = list(tasks)
+    results = _run_tasks(tasks, functools.partial(worker, lex_witness=False), jobs)
+    failing = [i for i, r in enumerate(results) if r[1]]
+    retried = _run_tasks([tasks[i] for i in failing],
+                         functools.partial(worker, lex_witness=True), jobs)
+    for i, result in zip(failing, retried):
+        results[i] = result
     if extra_rows is not None:
         results += extra_rows(results)
     results.sort(key=lambda r: r[0])
@@ -222,24 +231,8 @@ def _check(checks: list, name: str, expected, got):
         checks.append({"check": name, "expected": expected, "got": got})
 
 
-def _witnesses_on_failure(check: Callable) -> Callable:
-    """The worker that runs `check(task, lex_witness=False)`, whose gamma and
-    tau solves skip the lexicographic witness pass, and runs it again with
-    lex_witness=True when a check fails. A passing task reads only values,
-    and a failure record carries the same certificates as a single run with
-    witness passes would."""
-    # wraps gives the worker the module-level name of `check`, under which a
-    # process pool pickles it
-    @functools.wraps(check)
-    def worker(task):
-        result = check(task, lex_witness=False)
-        return check(task, lex_witness=True) if result[1] else result
-    return worker
-
-
 # -- hereditary suite ---------------------------------------------------------
 
-@_witnesses_on_failure
 def _hereditary_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
     g, key, seed, samples, node_cap = task
     gh = Hypergraph.from_graph(g)  # one conversion and incidence table for three solves
@@ -315,7 +308,6 @@ def verify_hereditary(max_n: int, samples_per_graph: int = 1, seed: int = 0,
 
 # -- extremal gamma1 suite -------------------------------------------------------
 
-@_witnesses_on_failure
 def _gamma1_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
     g, key, node_cap = task
     h, _ = generalized_power(g, 4, 1)
@@ -345,7 +337,6 @@ def crosscheck_extremal_gamma1(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
 
 # -- extremal gamma0 suite ---------------------------------------------------------
 
-@_witnesses_on_failure
 def _gamma0_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
     g, key, node_cap, nb_list = task
     h, _ = generalized_power(g, 4, 2)
@@ -380,11 +371,11 @@ def crosscheck_extremal_gamma0(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
 
 # -- nonextremal suite ---------------------------------------------------------------
 
-def _nonextremal_worker(task) -> tuple[str, list[dict], dict, bool]:
+def _nonextremal_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
     key, g, power_s, n, predicted_gamma, node_cap = task
     h, _ = generalized_power(g, 4, power_s)
     nu_h = matching_number(h, node_cap=node_cap)
-    gamma_h = domination_number(h, node_cap=node_cap)
+    gamma_h = domination_number(h, node_cap=node_cap, lex_witness=lex_witness)
     checks: list[dict] = []
     _check(checks, "nu", n, nu_h.value)
     _check(checks, "gamma", predicted_gamma, gamma_h.value)
@@ -440,7 +431,6 @@ def verify_nonextremal(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
 
 # -- counterexample suite ------------------------------------------------------------------
 
-@_witnesses_on_failure
 def _counterexample_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
     n, node_cap, nb_list = task
     g = complete_bipartite(2, n)

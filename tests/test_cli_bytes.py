@@ -163,6 +163,15 @@ def test_bytes_pinned(capsys, workdir, argv, expected, fmt):
     ("keg --family cycle:4 --wat", "dilations: error: unrecognized arguments: --wat"),
     ("gen --family cycle:3 --format xml",
      "dilations gen: error: argument --format: invalid choice: 'xml'"),
+    # options a command does not read are rejected, not ignored
+    ("classify --family cp_vee_cq:4,3 --node-cap 1",
+     "dilations: error: unrecognized arguments: --node-cap 1"),
+    ("gen --family cycle:3 --seed 5", "dilations: error: unrecognized arguments: --seed 5"),
+    # so are conflicting inputs
+    ("gen --family cycle:3 --graph nofile",
+     "dilations gen: error: argument --graph: not allowed with argument --family"),
+    ("invariant --param nu --family cycle:5 --hypergraph fano",
+     "dilations invariant: error: argument --hypergraph: not allowed with argument --family"),
 ])
 def test_argparse_errors(capsys, argv, error_line):
     # argparse wraps its usage lines to the terminal width, and newer Pythons

@@ -156,33 +156,48 @@ def _swap_gamma_classes(h, w):
     return swap.get(cls, cls)
 
 
+def _raise_gamma_on_even_n(nonextremal_tasks):
+    """nonextremal_tasks with the predicted gamma raised by 1 on even n."""
+    def raised(n_max, node_cap):
+        for key, g, power_s, n, gamma, cap in nonextremal_tasks(n_max, node_cap):
+            yield key, g, power_s, n, gamma + (n % 2 == 0), cap
+    return raised
+
+
 class TestWitnessRetry:
-    # A worker's first pass skips the gamma/tau witness passes; a failing task
-    # runs again with them, so its record is what a single run with witness
-    # passes gives. Wrong verdicts are patched in to make some tasks fail.
-    @pytest.mark.parametrize("worker, tasks, name, fake", [
-        (harness._hereditary_worker,
-         lambda: list(harness._graph_tasks(4, 7, 1, DEFAULT_NODE_CAP)),
+    # The driver's first pass skips the gamma/tau witness passes and runs a
+    # failing task again with them, so its record is what a single run with
+    # witness passes gives. Wrong verdicts or predictions are patched in to
+    # make some tasks fail; at jobs=1 the patches reach the workers.
+    @pytest.mark.parametrize("suite, worker, tasks, name, fake", [
+        (lambda: verify_hereditary(4, samples_per_graph=1, seed=7), harness._hereditary_worker,
+         lambda: harness._graph_tasks(4, 7, 1, DEFAULT_NODE_CAP),
          "classify_dilation", _swap_gamma_classes),
-        (harness._gamma1_worker, lambda: list(harness._graph_tasks(5, DEFAULT_NODE_CAP)),
+        (lambda: crosscheck_extremal_gamma1(5), harness._gamma1_worker,
+         lambda: harness._graph_tasks(5, DEFAULT_NODE_CAP),
          "is_keg", _flip_on_even_n(is_keg, "keg")),
-        (harness._gamma0_worker,
-         lambda: list(harness._graph_tasks(5, DEFAULT_NODE_CAP, load_g2nb_candidates())),
+        (lambda: crosscheck_extremal_gamma0(5), harness._gamma0_worker,
+         lambda: harness._graph_tasks(5, DEFAULT_NODE_CAP, load_g2nb_candidates()),
          "union_family_member", _flip_on_even_n(union_family_member, "member")),
-        (harness._counterexample_worker,
+        (lambda: verify_nonextremal(4), harness._nonextremal_worker,
+         lambda: harness._nonextremal_tasks(4, DEFAULT_NODE_CAP),
+         "_nonextremal_tasks", _raise_gamma_on_even_n(harness._nonextremal_tasks)),
+        (lambda: verify_counterexample(5), harness._counterexample_worker,
          lambda: [(n, DEFAULT_NODE_CAP, load_g2nb_candidates()) for n in range(2, 6)],
          "in_family_g2b", _flip_on_even_n(in_family_g2b, "member")),
-    ], ids=["hereditary", "extremal-gamma1", "extremal-gamma0", "counterexample"])
-    def test_failure_records_carry_lex_witnesses(self, monkeypatch, worker, tasks, name, fake):
+    ], ids=["hereditary", "extremal-gamma1", "extremal-gamma0", "nonextremal",
+            "counterexample"])
+    def test_failure_records_carry_lex_witnesses(self, monkeypatch, suite, worker, tasks,
+                                                 name, fake):
         monkeypatch.setattr(harness, name, fake)
-        tasks = tasks()
-        failing = []
-        for task in tasks:
-            result = worker(task)
-            assert result == worker.__wrapped__(task, lex_witness=True)
-            if result[1]:
-                failing.append((task, result))
-        assert 0 < len(failing) < len(tasks)
+        tasks = list(tasks())
+        report = suite()
+        failures = [f for f in report.failures if not f.instance.endswith(":coverage")]
+        with_witnesses = [worker(task, lex_witness=True) for task in tasks]
+        assert failures == sorted((FailureRecord(key, tuple(checks), certs, soft)
+                                   for key, checks, certs, soft in with_witnesses if checks),
+                                  key=lambda f: f.instance)
+        assert 0 < len(failures) < len(tasks)
         # the records differ from the first pass's, so the second pass is needed
-        assert any(worker.__wrapped__(task, lex_witness=False) != result
-                   for task, result in failing)
+        assert any(worker(task, lex_witness=False) != result
+                   for task, result in zip(tasks, with_witnesses) if result[1])
