@@ -5,9 +5,8 @@ Run:  python demos/04_extremal_families.py
 
 from dilations import (complete, complete_bipartite, corona, cp_vee_cq, cycle,
                        derive_g2nb_candidates, extremal_class_gamma1,
-                       in_family_g1, in_family_g2b, load_g2nb_candidates,
-                       path, predict_gamma, t1, to_graph6,
-                       union_family_member)
+                       in_family_g1, in_family_g2b, path, predict_gamma, t1,
+                       to_graph6, union_family_member)
 
 
 def section(title):
@@ -37,13 +36,12 @@ for g in derive_g2nb_candidates(8):
     print(f"  n={g.n} {to_graph6(g)}")
 
 section("The min-degree-1 family")
-nb = load_g2nb_candidates()
 for g, name in [(path(5), "P5"), (corona(cycle(4)), "corona(C4)"),
                 (t1(), "triangle+pendant")]:
-    v = in_family_g1(g, nb)
+    v = in_family_g1(g)
     print(f"{name:<18} member={v.member} case={v.evidence.get('case')}")
 
 section("One dispatcher covers all minimum-degree cases")
 for g, name in [(cycle(4), "C4"), (cycle(5), "C5"), (path(4), "P4")]:
-    v = union_family_member(g, nb)
+    v = union_family_member(g)
     print(f"{name:<4} -> family {v.family}, member={v.member}")

@@ -27,8 +27,7 @@ from .dilation import (DilationSpec, RankDeficitWarning, classify_dilation,
 from .errors import SearchBudgetExceeded
 from .families import (derive_g2nb_candidates, extremal_class_gamma1,
                        in_family_g1, in_family_g2b, in_family_g2nb,
-                       is_generalized_corona, load_g2nb_candidates,
-                       union_family_member)
+                       is_generalized_corona, union_family_member)
 from .graphs import (Graph, graph_from_family_string, parse_graph,
                      serialize_graph, to_graph6)
 from .harness import SUITE_SCALES, SUITES
@@ -55,7 +54,7 @@ def _load_graph(args) -> Graph:
         return graph_from_family_string(args.family)
     if getattr(args, "graph", None):
         text = Path(args.graph).read_text()
-        fmt = args.graph_format
+        fmt = args.graph_format or "auto"
         if fmt == "auto":
             stripped = next((ln for ln in text.splitlines()
                              if ln.strip() and not ln.lstrip().startswith("#")), "")
@@ -112,7 +111,8 @@ def _add_graph_args(p):
     source = p.add_mutually_exclusive_group()
     source.add_argument("--family", help="family spec string, e.g. 'cycle:5' or 'corona:cycle:3'")
     source.add_argument("--graph", help="path to a graph6 or edge-list file")
-    p.add_argument("--graph-format", choices=["auto", "graph6", "edge_list"], default="auto")
+    p.add_argument("--graph-format", choices=["auto", "graph6", "edge_list"],
+                   help="format of the --graph file (default: auto)")
     return source
 
 
@@ -286,15 +286,16 @@ def _cmd_classify(args):
                   "k": spec.k, "s": list(spec.s), "a": list(spec.a)}
         cls = classify_dilation(*_build_dilation(dilate, g, spec)).value
         return config, _payload(args, {"class": cls}, [f"class = {cls}"])
+    if any(v is not None for v in (args.k, args.s, args.s_uniform, args.a, args.a_uniform)):
+        raise SystemExit2("--k and block sizes apply only to classify --what dilation")
     config = {"family": args.family, "graph": args.graph, "what": "families"}
-    nb_list = load_g2nb_candidates()
     extremal = extremal_class_gamma1(g) if g.is_connected() and g.edge_count else None
     result = {
         "g2b": in_family_g2b(g).to_json(),
-        "g2nb": in_family_g2nb(g, nb_list).to_json(),
-        "g1": in_family_g1(g, nb_list).to_json(),
+        "g2nb": in_family_g2nb(g).to_json(),
+        "g1": in_family_g1(g).to_json(),
         "generalized_corona": is_generalized_corona(g).to_json(),
-        "union_member": union_family_member(g, nb_list).to_json()
+        "union_member": union_family_member(g).to_json()
         if g.is_connected() else None,
         "extremal_gamma1": extremal.to_json() if extremal else None,
     }
@@ -317,6 +318,8 @@ def _cmd_berge(args):
         valid = verify_berge_witness(g, h, w)
         return config, _payload(args, {"valid": valid, "witness": w.to_json()},
                                 [f"valid = {str(valid).lower()}"])
+    if args.witness:
+        raise SystemExit2("--witness applies only to berge verify")
     witness = search_berge_witness(g, h, node_cap=args.node_cap)
     if witness is None:
         return config, _payload(args, {"found": False, "witness": None}, ["NotBerge"])
@@ -374,6 +377,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if getattr(args, "graph_format", None) and not args.graph:
+            raise SystemExit2("--graph-format applies only to --graph")
         config, payload, *code = _COMMANDS[args.command](args)
         if args.format == "json":
             doc = {"command": args.command, "config": config, "result": payload}

@@ -7,12 +7,15 @@ empirically by exhaustive enumeration). For minimum degree 1 the family
 consists of K2, generalized coronas, and graphs whose leftover components
 after deleting leaves and stems satisfy one of three conditions.
 
-Every predicate returns a FamilyVerdict whose evidence names the vertices
-or components that decide the answer, so verdicts can be re-checked by hand.
+Every predicate takes only the graph and returns a FamilyVerdict whose
+evidence names the vertices or components that decide the answer, so verdicts
+can be re-checked by hand. The non-bipartite list is the shipped candidate
+asset, read once per process into a table of canonical codes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
@@ -116,15 +119,12 @@ def load_g2nb_candidates() -> list[Graph]:
     return [parse_graph6(line) for line in text.splitlines() if line.strip()]
 
 
-def in_family_g2nb(g: Graph, nb_list: Optional[Sequence[Graph]] = None) -> FamilyVerdict:
-    """Membership in the fixed non-bipartite min-degree-2 list (by isomorphism)."""
-    return _in_family_g2nb(g, structure_profile(g), nb_list)
+def in_family_g2nb(g: Graph) -> FamilyVerdict:
+    """Membership in the shipped non-bipartite min-degree-2 list (by isomorphism)."""
+    return _in_family_g2nb(g, structure_profile(g))
 
 
-def _in_family_g2nb(g: Graph, prof: StructureProfile,
-                    nb_list: Optional[Sequence[Graph]]) -> FamilyVerdict:
-    if nb_list is None:
-        nb_list = load_g2nb_candidates()
+def _in_family_g2nb(g: Graph, prof: StructureProfile) -> FamilyVerdict:
     if not prof.is_connected:
         return FamilyVerdict("G2NB", False, {"not_applicable": "graph is not connected"})
     if prof.bipartition is not None:
@@ -132,17 +132,24 @@ def _in_family_g2nb(g: Graph, prof: StructureProfile,
     if prof.min_degree < 2:
         return FamilyVerdict("G2NB", False,
                              {"not_applicable": f"minimum degree {prof.min_degree} < 2"})
-    index = _candidate_index(g, nb_list)
+    index = _candidate_index(g)
     if index is None:
         return FamilyVerdict("G2NB", False, {"reason": "not isomorphic to any candidate"})
     return FamilyVerdict("G2NB", True, {"candidate_index": index})
 
 
-def _candidate_index(g: Graph, nb_list: Sequence[Graph]) -> Optional[int]:
-    """Index of the first candidate isomorphic to g, or None."""
-    code = canonical_form(g)
-    return next((i for i, cand in enumerate(nb_list)
-                 if cand.n == g.n and canonical_form(cand) == code), None)
+@functools.cache
+def _candidate_table() -> dict[str, int]:
+    """Canonical code -> index of the first shipped candidate with that code."""
+    table: dict[str, int] = {}
+    for i, cand in enumerate(load_g2nb_candidates()):
+        table.setdefault(canonical_form(cand), i)
+    return table
+
+
+def _candidate_index(g: Graph) -> Optional[int]:
+    """Index of the first shipped candidate isomorphic to g, or None."""
+    return _candidate_table().get(canonical_form(g))
 
 
 def is_generalized_corona(g: Graph) -> FamilyVerdict:
@@ -162,16 +169,13 @@ def is_generalized_corona(g: Graph) -> FamilyVerdict:
                          {"leaves": list(prof.leaves), "stems": list(prof.stems)})
 
 
-def in_family_g1(g: Graph, nb_list: Optional[Sequence[Graph]] = None) -> FamilyVerdict:
+def in_family_g1(g: Graph) -> FamilyVerdict:
     """Min-degree-1 family: K2, generalized coronas, or all leftover components
     (after deleting leaves and stems) pass one of the three component tests."""
-    return _in_family_g1(g, structure_profile(g), nb_list)
+    return _in_family_g1(g, structure_profile(g))
 
 
-def _in_family_g1(g: Graph, prof: StructureProfile,
-                  nb_list: Optional[Sequence[Graph]]) -> FamilyVerdict:
-    if nb_list is None:
-        nb_list = load_g2nb_candidates()
+def _in_family_g1(g: Graph, prof: StructureProfile) -> FamilyVerdict:
     if not prof.is_connected:
         return FamilyVerdict("G1", False, {"not_applicable": "graph is not connected"})
     if prof.min_degree != 1:
@@ -195,7 +199,7 @@ def _in_family_g1(g: Graph, prof: StructureProfile,
         sub = rest_graph.induced_subgraph(comp)
         u_set = frozenset(i for i, v in enumerate(original)
                           if stem_neighbor_mask >> v & 1)
-        verdict, report = _component_condition(sub, u_set, nb_list)
+        verdict, report = _component_condition(sub, u_set)
         report["component_vertices"] = original
         component_reports.append(report)
         if not verdict:
@@ -212,8 +216,7 @@ def _in_family_g1(g: Graph, prof: StructureProfile,
     })
 
 
-def _component_condition(sub: Graph, u_set: frozenset[int],
-                         nb_list: Sequence[Graph]) -> tuple[bool, dict]:
+def _component_condition(sub: Graph, u_set: frozenset[int]) -> tuple[bool, dict]:
     """Test one leftover component against conditions i / ii / iii."""
     if sub.n == 1:
         return True, {"condition": "i"}
@@ -237,7 +240,7 @@ def _component_condition(sub: Graph, u_set: frozenset[int],
     else:
         reasons["ii"] = {"not_bipartite": True}
 
-    iso_index = _candidate_index(sub, nb_list)
+    iso_index = _candidate_index(sub)
     if iso_index is None:
         reasons["iii"] = {"not_isomorphic_to_candidates": True}
         return False, {"condition": "none", "reasons": reasons}
@@ -258,16 +261,16 @@ def _component_condition(sub: Graph, u_set: frozenset[int],
                   "attachment_set": sorted(u_set)}
 
 
-def union_family_member(g: Graph, nb_list: Optional[Sequence[Graph]] = None) -> FamilyVerdict:
+def union_family_member(g: Graph) -> FamilyVerdict:
     """Dispatch on minimum degree / bipartiteness to the matching family test."""
     prof = structure_profile(g)
     if not prof.is_connected:
         raise DomainError("family dispatch requires a connected graph")
     if prof.min_degree == 1:
-        return _in_family_g1(g, prof, nb_list)
+        return _in_family_g1(g, prof)
     if prof.bipartition is not None:
         return _in_family_g2b(g, prof)
-    return _in_family_g2nb(g, prof, nb_list)
+    return _in_family_g2nb(g, prof)
 
 
 def predict_gamma(g: Graph, cls: DilationClass | str) -> int:

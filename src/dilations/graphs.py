@@ -253,16 +253,15 @@ def parse_edge_list(text: str) -> Graph:
     endpoints must be integer indices in range. Without it, endpoint tokens are
     relabeled 0..n-1 in first-appearance order and kept as labels.
     """
-    lines = text.splitlines()
-    start = 0
     declared_n = None
-    for lineno, raw in enumerate(lines, 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            start = lineno
+    index: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = stripped.split()
-        if parts[0] == "n":
+        if parts[0] == "n" and declared_n is None and not index:  # no content line yet
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: malformed vertex-count header")
             try:
@@ -271,52 +270,27 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: vertex count is not an integer") from None
             if declared_n < 0:
                 raise ParseError(f"line {lineno}: negative vertex count")
-            start = lineno
-        break
-
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    if declared_n is not None:
-        if declared_n > MAX_VERTICES:
-            raise CapacityError(
-                f"edge list declares {declared_n} vertices; the core supports at most {MAX_VERTICES}")
-        for lineno, raw in enumerate(lines[start:], start + 1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected two endpoints, got {len(parts)}")
+            if declared_n > MAX_VERTICES:
+                raise CapacityError(f"edge list declares {declared_n} vertices; "
+                                    f"the core supports at most {MAX_VERTICES}")
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected two endpoints, got {len(parts)}")
+        if declared_n is None:
+            u, v = (index.setdefault(tok, len(index)) for tok in parts)
+            if len(index) > MAX_VERTICES:
+                raise CapacityError(f"edge list uses more than {MAX_VERTICES} distinct vertices")
+        else:
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer endpoint with declared vertex count") from None
             if not (0 <= u < declared_n and 0 <= v < declared_n):
                 raise ParseError(f"line {lineno}: endpoint out of range 0..{declared_n - 1}")
-            _append_edge(edges, seen, u, v, lineno)
-        return Graph.from_edges(declared_n, edges)
-
-    index: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected two endpoints, got {len(parts)}")
-        pair = []
-        for tok in parts:
-            if tok not in index:
-                if len(index) >= MAX_VERTICES:
-                    raise CapacityError(
-                        f"edge list uses more than {MAX_VERTICES} distinct vertices")
-                index[tok] = len(index)
-            pair.append(index[tok])
-        _append_edge(edges, seen, pair[0], pair[1], lineno)
-    labels = [None] * len(index)
-    for tok, i in index.items():
-        labels[i] = tok
-    return Graph.from_edges(len(index), edges, labels=labels)
+        _append_edge(edges, seen, u, v, lineno)
+    if declared_n is None:
+        return Graph.from_edges(len(index), edges, labels=list(index))
+    return Graph.from_edges(declared_n, edges)
 
 
 def _append_edge(edges, seen, u, v, lineno):
@@ -458,35 +432,27 @@ def g_nr(n: int, r: int) -> Graph:
     first, then the double-pendant blocks.
     """
     _g_nr_common(n, r)
-    edges = []
-    nxt = 1
-    for _ in range(n - 2 * r):
-        a, b = nxt, nxt + 1
-        edges += [(0, a), (0, b), (a, b)]
-        nxt += 2
-    for _ in range(r):
-        a, b, pa, pb = nxt, nxt + 1, nxt + 2, nxt + 3
-        edges += [(0, a), (0, b), (a, b), (a, pa), (b, pb)]
-        nxt += 4
-    return Graph.from_edges(nxt, edges)
+    return _triangle_fan([0] * (n - 2 * r) + [2] * r)
 
 
 def ghat_nr(n: int, r: int) -> Graph:
     """Like g_nr but one double-pendant block is replaced by a single-pendant one."""
     _g_nr_common(n, r)
+    return _triangle_fan([0] * (n - 2 * r) + [2] * (r - 1) + [1])
+
+
+def _triangle_fan(pendants: list[int]) -> Graph:
+    """Triangles sharing vertex 0, one block per entry of `pendants`; a block
+    with p pendants hangs one leaf on each of its first p triangle vertices."""
     edges = []
     nxt = 1
-    for _ in range(n - 2 * r):
+    for p in pendants:
         a, b = nxt, nxt + 1
         edges += [(0, a), (0, b), (a, b)]
         nxt += 2
-    for _ in range(r - 1):
-        a, b, pa, pb = nxt, nxt + 1, nxt + 2, nxt + 3
-        edges += [(0, a), (0, b), (a, b), (a, pa), (b, pb)]
-        nxt += 4
-    a, b, pa = nxt, nxt + 1, nxt + 2
-    edges += [(0, a), (0, b), (a, b), (a, pa)]
-    nxt += 3
+        for x in (a, b)[:p]:
+            edges.append((x, nxt))
+            nxt += 1
     return Graph.from_edges(nxt, edges)
 
 

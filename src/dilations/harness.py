@@ -338,11 +338,11 @@ def crosscheck_extremal_gamma1(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
 # -- extremal gamma0 suite ---------------------------------------------------------
 
 def _gamma0_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
-    g, key, node_cap, nb_list = task
+    g, key, node_cap = task
     h, _ = generalized_power(g, 4, 2)
     gamma_h = domination_number(h, node_cap=node_cap, lex_witness=lex_witness)
     nu_h = matching_number(h, node_cap=node_cap)
-    verdict = union_family_member(g, nb_list)
+    verdict = union_family_member(g)
     checks: list[dict] = []
     _check(checks, f"equal_iff_member[{verdict.family}]",
            verdict.member, gamma_h.value == nu_h.value)
@@ -363,10 +363,9 @@ def crosscheck_extremal_gamma0(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
     """gamma = nu on a gamma0 dilation exactly when the support graph belongs
     to the union of the three characterization families. Mismatches routed
     through the behaviorally-derived component condition are soft."""
-    nb_list = load_g2nb_candidates()
     return _run_suite("extremal-gamma0", max_n,
-                      {"node_cap": node_cap, "nb_candidates": len(nb_list)},
-                      _gamma0_worker, _graph_tasks(max_n, node_cap, nb_list), jobs)
+                      {"node_cap": node_cap, "nb_candidates": len(load_g2nb_candidates())},
+                      _gamma0_worker, _graph_tasks(max_n, node_cap), jobs)
 
 
 # -- nonextremal suite ---------------------------------------------------------------
@@ -432,7 +431,7 @@ def verify_nonextremal(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
 # -- counterexample suite ------------------------------------------------------------------
 
 def _counterexample_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
-    n, node_cap, nb_list = task
+    n, node_cap = task
     g = complete_bipartite(2, n)
     h, _ = generalized_power(g, 4, 2)
     gamma_h = domination_number(h, node_cap=node_cap, lex_witness=lex_witness)
@@ -441,8 +440,8 @@ def _counterexample_worker(task, lex_witness: bool) -> tuple[str, list[dict], di
     _check(checks, "gamma", 2, gamma_h.value)
     _check(checks, "nu", 2, nu_h.value)
     _check(checks, "in_g2b", True, in_family_g2b(g).member)
-    _check(checks, "not_in_g2nb", False, in_family_g2nb(g, nb_list).member)
-    _check(checks, "not_in_g1", False, in_family_g1(g, nb_list).member)
+    _check(checks, "not_in_g2nb", False, in_family_g2nb(g).member)
+    _check(checks, "not_in_g1", False, in_family_g1(g).member)
     certs = {"gamma_H": gamma_h.to_json(), "nu_H": nu_h.to_json()} if checks else {}
     return f"K2,{n}", checks, certs, False
 
@@ -451,9 +450,8 @@ def verify_counterexample(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
                     jobs: int = 1) -> VerificationReport:
     """K_{2,n} attains gamma = nu on gamma0 dilations while belonging to the
     bipartite family only, refuting any characterization that omits it."""
-    nb_list = load_g2nb_candidates()
     return _run_suite("counterexample", n_max, {"node_cap": node_cap}, _counterexample_worker,
-                      ((n, node_cap, nb_list) for n in range(2, n_max + 1)), jobs)
+                      ((n, node_cap) for n in range(2, n_max + 1)), jobs)
 
 
 SUITES = {

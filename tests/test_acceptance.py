@@ -32,7 +32,7 @@ from dilations.dilation import (DilationClass, DilationSpec,
                                 RankDeficitWarning, classify_dilation, dilate,
                                 generalized_power, random_dilation)
 from dilations.families import in_family_g1, in_family_g2b, in_family_g2nb, \
-    load_g2nb_candidates, derive_g2nb_candidates
+    derive_g2nb_candidates
 from dilations.graphs import (Graph, complete, complete_bipartite,
                               complete_minus_clique, cp_vee_cq, cycle, g_nr,
                               ghat_nr)
@@ -151,7 +151,6 @@ def test_criterion_4_two_cycle_amalgams():
 
 
 def test_criterion_5_family_predicates():
-    nb = load_g2nb_candidates()
     checked_bip = 0
     for n in range(3, 9):
         for g in enumerate_connected(n, min_degree=2, bipartite=True):
@@ -166,7 +165,7 @@ def test_criterion_5_family_predicates():
             if min(g.degrees()) != 1:
                 continue
             eq = domination_number(g).value == matching_number(g).value
-            verdict = in_family_g1(g, nb)
+            verdict = in_family_g1(g)
             if verdict.member != eq:
                 unexplained.append((g.edges(), verdict.to_json()))
             checked_one += 1
@@ -216,15 +215,14 @@ def test_criterion_7_nonextremal():
 
 
 def test_criterion_8_counterexample_family():
-    nb = load_g2nb_candidates()
     for n in range(2, 6):
         g = complete_bipartite(2, n)
         h, _ = generalized_power(g, 4, 2)
         assert domination_number(h).value == 2, n
         assert matching_number(h).value == 2, n
         assert in_family_g2b(g).member, n
-        assert not in_family_g2nb(g, nb).member, n
-        assert not in_family_g1(g, nb).member, n
+        assert not in_family_g2nb(g).member, n
+        assert not in_family_g1(g).member, n
     announce("8 counterexample-family", True)
 
 

@@ -118,6 +118,13 @@ CASES = [
      {"text": "553a6cc09106c19c", "json": "553a6cc09106c19c", "csv": "553a6cc09106c19c"}),
     ("verify hereditary --max-n 1",
      {"text": "ba94ed04307715ef", "json": "ba94ed04307715ef", "csv": "ba94ed04307715ef"}),
+    # an option that the chosen input or mode does not read
+    ("gen --family cycle:3 --graph-format edge_list",
+     {"text": "8ea197ce2289519e", "json": "8ea197ce2289519e", "csv": "8ea197ce2289519e"}),
+    ("classify --family cycle:4 --k 4 --s-uniform 1",
+     {"text": "8dcaf1beab8fe517", "json": "8dcaf1beab8fe517", "csv": "8dcaf1beab8fe517"}),
+    ("berge search --family cycle:7 --hypergraph fano --witness nofile.json",
+     {"text": "2526c4d08ee720c0", "json": "2526c4d08ee720c0", "csv": "2526c4d08ee720c0"}),
     # node-cap timeouts: exit 3
     ("invariant --param tau --family complete_minus_clique:4,2 --node-cap 3",
      {"text": "3dc53cd8554ffacf", "json": "3dc53cd8554ffacf", "csv": "3dc53cd8554ffacf"}),

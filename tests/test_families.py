@@ -10,7 +10,7 @@ from dilations.families import (derive_g2nb_candidates, extremal_class_gamma1,
 from dilations.graphs import (Graph, complete, complete_bipartite, corona,
                               cp_vee_cq, cycle, path, t1, vertex_amalgam)
 from dilations.invariants import domination_number, matching_number
-from dilations.isomorphism import canonical_form, enumerate_connected
+from dilations.isomorphism import canonical_form, enumerate_connected, is_isomorphic
 
 
 @pytest.fixture(scope="module")
@@ -87,10 +87,33 @@ class TestG2NBDerivation:
         assert [canonical_form(g) for g in nb_list] == \
             [canonical_form(g) for g in derived]
 
-    def test_membership_predicate(self, nb_list):
-        assert in_family_g2nb(cycle(5), nb_list).member
-        assert not in_family_g2nb(cycle(4), nb_list).member  # bipartite
-        assert not in_family_g2nb(complete(4), nb_list).member
+    def test_asset_read_once_and_first_match(self, nb_list, monkeypatch):
+        families._candidate_table.cache_clear()
+        calls = []
+        load = families.load_g2nb_candidates
+
+        def counted():
+            calls.append(1)
+            return load()
+        monkeypatch.setattr(families, "load_g2nb_candidates", counted)
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                union_family_member(g)
+                in_family_g1(g)
+                in_family_g2nb(g)
+        assert len(calls) <= 1
+        for n in range(3, 9):
+            for g in enumerate_connected(n, min_degree=2, bipartite=False):
+                index = next((i for i, cand in enumerate(nb_list)
+                              if is_isomorphic(g, cand)), None)
+                expected = ({"reason": "not isomorphic to any candidate"} if index is None
+                            else {"candidate_index": index})
+                assert in_family_g2nb(g).evidence == expected, g.edges()
+
+    def test_membership_predicate(self):
+        assert in_family_g2nb(cycle(5)).member
+        assert not in_family_g2nb(cycle(4)).member  # bipartite
+        assert not in_family_g2nb(complete(4)).member
 
 
 class TestGeneralizedCorona:
@@ -113,37 +136,37 @@ class TestGeneralizedCorona:
 
 
 class TestG1:
-    def test_k2_member(self, nb_list):
-        assert in_family_g1(complete(2), nb_list).member
+    def test_k2_member(self):
+        assert in_family_g1(complete(2)).member
 
-    def test_p5_member_condition_i(self, nb_list):
-        v = in_family_g1(path(5), nb_list)
+    def test_p5_member_condition_i(self):
+        v = in_family_g1(path(5))
         assert v.member and v.evidence["case"] == "component_conditions"
         assert domination_number(path(5)).value == matching_number(path(5)).value == 2
 
-    def test_corona_member(self, nb_list):
-        v = in_family_g1(corona(cycle(4)), nb_list)
+    def test_corona_member(self):
+        v = in_family_g1(corona(cycle(4)))
         assert v.member and v.evidence["case"] == "generalized_corona"
 
-    def test_t1_not_member(self, nb_list):
-        v = in_family_g1(t1(), nb_list)
+    def test_t1_not_member(self):
+        v = in_family_g1(t1())
         assert not v.member
         assert domination_number(t1()).value == 1
         assert matching_number(t1()).value == 2
 
-    def test_not_applicable_min_degree(self, nb_list):
-        assert not in_family_g1(cycle(5), nb_list).member
+    def test_not_applicable_min_degree(self):
+        assert not in_family_g1(cycle(5)).member
 
-    def test_condition_iii_path(self, nb_list):
+    def test_condition_iii_path(self):
         # triangle with a 2-path tail: leftover component is C3, decided by
         # candidate isomorphism plus domination stability
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
-        v = in_family_g1(g, nb_list)
+        v = in_family_g1(g)
         assert v.member
         assert v.evidence["used_condition_iii"]
         assert domination_number(g).value == matching_number(g).value == 2
 
-    def test_condition_iii_gamma_instability(self, nb_list, monkeypatch):
+    def test_condition_iii_gamma_instability(self, monkeypatch):
         # the leftover component matches a candidate, but removing attachment
         # vertices {0, 1} drops its gamma from 2 to 1; each graph is solved once
         g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 6),
@@ -155,32 +178,32 @@ class TestG1:
             solved.append(h)
             return solve(h, *args, **kwargs)
         monkeypatch.setattr(families, "domination_number", counted)
-        v = in_family_g1(g, nb_list)
+        v = in_family_g1(g)
         assert not v.member and v.evidence["case"] == "component_failure"
         assert v.evidence["component"]["reasons"]["iii"] == {
             "gamma_unstable_under_removal": [0, 1], "gamma": 2, "gamma_after_removal": 1}
         assert len({id(h) for h in solved}) == len(solved)
 
-    def test_equivalence_scan(self, nb_list):
+    def test_equivalence_scan(self):
         for n in range(2, 9):
             for g in enumerate_connected(n):
                 if min(g.degrees()) != 1:
                     continue
-                member = in_family_g1(g, nb_list).member
+                member = in_family_g1(g).member
                 eq = domination_number(g).value == matching_number(g).value
                 assert member == eq, g.edges()
 
 
 class TestUnionDispatch:
-    def test_dispatch(self, nb_list):
-        assert union_family_member(cycle(4), nb_list).family == "G2B"
-        assert union_family_member(cycle(5), nb_list).family == "G2NB"
-        assert union_family_member(path(4), nb_list).family == "G1"
+    def test_dispatch(self):
+        assert union_family_member(cycle(4)).family == "G2B"
+        assert union_family_member(cycle(5)).family == "G2NB"
+        assert union_family_member(path(4)).family == "G1"
 
-    def test_requires_connected(self, nb_list):
+    def test_requires_connected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DomainError):
-            union_family_member(g, nb_list)
+            union_family_member(g)
 
 
 class TestPredictGamma:

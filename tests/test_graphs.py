@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -123,6 +124,29 @@ class TestEdgeList:
     def test_header_out_of_range(self):
         with pytest.raises(ParseError):
             parse_edge_list("n 3\n0 3\n")
+
+    # (text, (n, edges, labels)) or (text, ParseError message)
+    @pytest.mark.parametrize("text, expected", [
+        ("# c\n\nn 3\n0 1\n", (3, [(0, 1)], None)),
+        ("n 3\n\n# c\n1 2\n", (3, [(1, 2)], None)),
+        ("n 0\n", (0, [], None)),
+        ("n\n", "line 1: malformed vertex-count header"),
+        ("# c\nn 3 4\n", "line 2: malformed vertex-count header"),
+        ("\nn -1\n0 1\n", "line 2: negative vertex count"),
+        ("n x\n", "line 1: vertex count is not an integer"),
+        ("n 3\n0 a\n", "line 2: non-integer endpoint with declared vertex count"),
+        ("n 3\n# c\n0 1 2\n", "line 3: expected two endpoints, got 3"),
+        ("n 3\n0 1\nn 2\n", "line 3: non-integer endpoint with declared vertex count"),
+        ("0 1\nn 2\n", (4, [(0, 1), (2, 3)], ("0", "1", "n", "2"))),
+        ("a b\nn x\nx a\n", (4, [(0, 1), (0, 3), (2, 3)], ("a", "b", "n", "x"))),
+    ])
+    def test_header_and_endpoint_table(self, text, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+                parse_edge_list(text)
+        else:
+            g = parse_edge_list(text)
+            assert (g.n, g.edges(), g.labels) == expected
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

@@ -16,8 +16,7 @@ from dilations.harness import (SUITE_SCALES, SUITES, FailureRecord,
                                crosscheck_extremal_gamma1, verify_counterexample,
                                verify_hereditary, verify_nonextremal)
 from dilations.hypergraphs import Hypergraph
-from dilations.families import (in_family_g2b, load_g2nb_candidates,
-                                union_family_member)
+from dilations.families import in_family_g2b, union_family_member
 from dilations.invariants import DEFAULT_NODE_CAP, check_certificate, domination_number, is_keg
 from importlib import resources
 
@@ -177,13 +176,13 @@ class TestWitnessRetry:
          lambda: harness._graph_tasks(5, DEFAULT_NODE_CAP),
          "is_keg", _flip_on_even_n(is_keg, "keg")),
         (lambda: crosscheck_extremal_gamma0(5), harness._gamma0_worker,
-         lambda: harness._graph_tasks(5, DEFAULT_NODE_CAP, load_g2nb_candidates()),
+         lambda: harness._graph_tasks(5, DEFAULT_NODE_CAP),
          "union_family_member", _flip_on_even_n(union_family_member, "member")),
         (lambda: verify_nonextremal(4), harness._nonextremal_worker,
          lambda: harness._nonextremal_tasks(4, DEFAULT_NODE_CAP),
          "_nonextremal_tasks", _raise_gamma_on_even_n(harness._nonextremal_tasks)),
         (lambda: verify_counterexample(5), harness._counterexample_worker,
-         lambda: [(n, DEFAULT_NODE_CAP, load_g2nb_candidates()) for n in range(2, 6)],
+         lambda: [(n, DEFAULT_NODE_CAP) for n in range(2, 6)],
          "in_family_g2b", _flip_on_even_n(in_family_g2b, "member")),
     ], ids=["hereditary", "extremal-gamma1", "extremal-gamma0", "nonextremal",
             "counterexample"])
