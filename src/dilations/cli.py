@@ -30,7 +30,7 @@ from .families import (derive_g2nb_candidates, extremal_class_gamma1,
                        is_generalized_corona, union_family_member)
 from .graphs import (Graph, graph_from_family_string, parse_graph,
                      serialize_graph, to_graph6)
-from .harness import SUITE_SCALES, SUITES
+from .harness import SUITES, run_suites
 from .hypergraphs import (Hypergraph, builtin_hypergraph, parse_hypergraph,
                           to_hypergraph_text)
 from .invariants import (DEFAULT_NODE_CAP, domination_number, is_keg,
@@ -58,7 +58,7 @@ def _load_graph(args) -> Graph:
         if fmt == "auto":
             stripped = next((ln for ln in text.splitlines()
                              if ln.strip() and not ln.lstrip().startswith("#")), "")
-            fmt = "edge_list" if len(stripped.split()) == 2 else "graph6"
+            fmt = "edge_list" if len(stripped.split()) > 1 else "graph6"
         return parse_graph(fmt, text)
     raise SystemExit2("one of --family or --graph is required")
 
@@ -344,16 +344,8 @@ def _cmd_derive_nb(args):
 
 def _cmd_verify(args):
     """Also returns the exit code: 1 when some suite fails."""
-    run_all = args.suite == "all"
-    names = sorted(SUITES) if run_all else [args.suite]
-    reports = []
-    for name in names:
-        spec = SUITE_SCALES[name]
-        scale = spec.default if args.max_n is None else args.max_n
-        if run_all:
-            scale = min(scale, spec.cap)  # suites have different caps
-        extra = (args.samples, args.seed) if name == "hereditary" else ()
-        reports.append(SUITES[name](scale, *extra, args.node_cap, args.jobs))
+    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    reports = run_suites(names, args.max_n, args.samples, args.seed, args.node_cap, args.jobs)
     ok = all(r.ok for r in reports)
     config = {"suites": names, "max_n": args.max_n, "samples": args.samples,
               "seed": args.seed}

@@ -22,15 +22,26 @@ Suites:
                     lying only in the bipartite family
 
 SUITE_SCALES gives each suite its largest supported scale and the scale the
-CLI runs by default. Each public suite function builds its config and task
-list; one driver checks the scale against the table, runs the tasks serially
-or in a process pool, and tallies the results into a VerificationReport.
+CLI runs by default. `run_suites` turns a list of suite names and one scale
+into a scale per suite and returns their reports. One driver checks each
+scale against the table, runs the tasks serially or in a process pool, and
+tallies each suite's rows into a VerificationReport.
 
-Every worker takes `lex_witness`. The driver's first pass solves gamma and
-tau without the lexicographic witness pass, since a passing task reads only
-values (the nonextremal coverage rows too). It then solves the failing tasks
-again with the pass, so a failure record carries the same certificates as a
-single run with witness passes would.
+The three graph suites (hereditary, extremal-gamma1, extremal-gamma0) check
+every connected graph up to their scale, so they share one sweep. The
+enumeration runs once and each graph is one task. The task builds G's
+hypergraph and its (4,1) and (4,2) powers once, solves each of them once
+per invariant, and returns one row per suite whose scale reaches the graph's
+order. The KEG verdict of extremal-gamma1 comes from the shared tau(G) and
+nu(G). A graph suite run alone takes the same path with one name. Nothing is
+kept from one graph's task to the next.
+
+Every worker takes `lex_witness` and returns a list of rows. The driver's
+first pass solves gamma and tau without the lexicographic witness pass,
+since a passing row reads only values (the nonextremal coverage rows too).
+It then runs the tasks that have a failing row again with the pass, so a
+failure record carries the same certificates as a single run with witness
+passes would.
 """
 
 from __future__ import annotations
@@ -56,8 +67,8 @@ from .families import (in_family_g1, in_family_g2b, in_family_g2nb,
 from .graphs import Graph, complete, complete_bipartite, complete_minus_clique, \
     cycle, g_nr, ghat_nr
 from .hypergraphs import Hypergraph
-from .invariants import (DEFAULT_NODE_CAP, domination_number, is_keg,
-                         matching_number, transversal_number)
+from .invariants import (DEFAULT_NODE_CAP, Certificate, KegVerdict,
+                         domination_number, matching_number, transversal_number)
 from .isomorphism import _connected_classes
 
 
@@ -80,7 +91,9 @@ class VerificationReport:
     seed: Optional[int]
     instances: list[str] = field(default_factory=list)  # instance keys, sorted
     failures: list[FailureRecord] = field(default_factory=list)
-    wall_time: float = 0.0  # informational; excluded from serialized forms
+    # informational, excluded from serialized forms; a graph suite run with
+    # others carries the time of their shared sweep
+    wall_time: float = 0.0
 
     @property
     def instance_count(self) -> int:
@@ -164,40 +177,61 @@ SUITE_SCALES = {
 }
 
 
-def _run_suite(suite: str, scale: int, config: dict, worker: Callable,
-               tasks: Iterable, jobs: int, seed: Optional[int] = None,
-               extra_rows: Optional[Callable[[list], list]] = None) -> VerificationReport:
-    """Check `scale` against the suite's table entry, run `worker` on `tasks`
-    with lex_witness=False, run the failing ones again with lex_witness=True,
-    and tally the results, sorted by instance key, into a report. `tasks` is
+def _run_suites(requests: dict[str, tuple[int, dict, Optional[int]]], worker: Callable,
+                tasks: Iterable, jobs: int,
+                extra_rows: Optional[Callable[[list], list]] = None
+                ) -> dict[str, VerificationReport]:
+    """Check each requested scale against its suite's table entry, run
+    `worker` on `tasks` with lex_witness=False, run the tasks that have a
+    failing row again with lex_witness=True, and tally each suite's rows,
+    sorted by instance key, into its report.
+
+    `requests` maps each suite to its scale, config and report seed. A worker
+    returns a list of rows (suite, key, checks, certs, soft). `tasks` is
     iterated only after the check, so a generator builds no task for an
-    unsupported scale. `extra_rows` derives further rows from all results."""
-    spec = SUITE_SCALES[suite]
-    if not 2 <= scale <= spec.cap:
-        raise DomainError(f"{suite} suite supports 2 <= {spec.param} <= {spec.cap}")
+    unsupported scale. `extra_rows` derives further rows of a suite from all
+    of its rows. Every report carries the wall time of the whole run."""
+    for suite, (scale, _config, _seed) in requests.items():
+        spec = SUITE_SCALES[suite]
+        if not 2 <= scale <= spec.cap:
+            raise DomainError(f"{suite} suite supports 2 <= {spec.param} <= {spec.cap}")
     t0 = time.perf_counter()
     tasks = list(tasks)
     results = _run_tasks(tasks, functools.partial(worker, lex_witness=False), jobs)
-    failing = [i for i, r in enumerate(results) if r[1]]
+    failing = [i for i, rows in enumerate(results) if any(row[2] for row in rows)]
     retried = _run_tasks([tasks[i] for i in failing],
                          functools.partial(worker, lex_witness=True), jobs)
-    for i, result in zip(failing, retried):
-        results[i] = result
-    if extra_rows is not None:
-        results += extra_rows(results)
-    results.sort(key=lambda r: r[0])
-    return VerificationReport(
-        suite, {spec.param: scale, **config}, seed,
-        instances=[r[0] for r in results],
-        failures=[FailureRecord(key, tuple(checks), certs, soft)
-                  for key, checks, certs, soft in results if checks],
-        wall_time=time.perf_counter() - t0)
+    for i, rows in zip(failing, retried):
+        results[i] = rows
+    by_suite: dict[str, list] = {suite: [] for suite in requests}
+    for rows in results:
+        for row in rows:
+            by_suite[row[0]].append(row)
+    wall_time = time.perf_counter() - t0
+    reports = {}
+    for suite, rows in by_suite.items():
+        if extra_rows is not None:
+            rows += extra_rows(rows)
+        rows.sort(key=lambda r: r[1])
+        scale, config, seed = requests[suite]
+        reports[suite] = VerificationReport(
+            suite, {SUITE_SCALES[suite].param: scale, **config}, seed,
+            instances=[r[1] for r in rows],
+            failures=[FailureRecord(key, tuple(checks), certs, soft)
+                      for _suite, key, checks, certs, soft in rows if checks],
+            wall_time=wall_time)
+    return reports
 
 
 def _worker_count(jobs: int, n_tasks: int) -> int:
-    """Pool size for `jobs` requested workers: never more than the CPUs or
-    the tasks, since a pool starts every worker up front."""
-    return min(jobs, os.cpu_count() or 1, n_tasks)
+    """Pool size for `jobs` requested workers: never more than the CPUs this
+    process may run on, or the tasks, since a pool starts every worker up
+    front."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus, n_tasks)
 
 
 def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
@@ -218,45 +252,65 @@ def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
         return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (16 * jobs))))
 
 
-def _graph_tasks(max_n: int, *shared):
-    """One task per connected graph on 2..max_n vertices: the graph, its
-    instance key, then `shared`."""
-    for n in range(2, max_n + 1):
-        for cls in _connected_classes(n):
-            yield (cls.graph, f"n{n}:{cls.code}", *shared)
-
-
 def _check(checks: list, name: str, expected, got):
     if expected != got:
         checks.append({"check": name, "expected": expected, "got": got})
 
 
-# -- hereditary suite ---------------------------------------------------------
+# -- the graph suites: hereditary, extremal-gamma1, extremal-gamma0 ---------------
 
-def _hereditary_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
-    g, key, seed, samples, node_cap = task
-    gh = Hypergraph.from_graph(g)  # one conversion and incidence table for three solves
-    gamma_g = domination_number(gh, node_cap=node_cap, lex_witness=lex_witness)
-    nu_g = matching_number(gh, node_cap=node_cap)
-    tau_g = transversal_number(gh, node_cap=node_cap, lex_witness=lex_witness)
+class _Shared:
+    """The hosts and certificates of one graph's task, each built on first
+    use: G's hypergraph under the tag "G", its (4, s) powers under
+    "power-4-s", and any host a check adds to `hosts`. The task's suites read
+    the same objects, so a solve they share runs once; nothing outlives the
+    task."""
+
+    def __init__(self, g: Graph, node_cap: int, lex_witness: bool):
+        self.g = g
+        self.node_cap = node_cap
+        self.lex_witness = lex_witness
+        self.hosts: dict = {}  # tag -> (hypergraph, BlockWitness or None)
+        self._certs: dict = {}  # (tag, parameter) -> Certificate
+
+    def host(self, tag: str):
+        if tag not in self.hosts:
+            self.hosts[tag] = ((Hypergraph.from_graph(self.g), None) if tag == "G"
+                               else generalized_power(self.g, 4, int(tag[-1])))
+        return self.hosts[tag]
+
+    def solve(self, h: Hypergraph, parameter: str) -> Certificate:
+        if parameter == "nu":
+            return matching_number(h, node_cap=self.node_cap)
+        cover = domination_number if parameter == "gamma" else transversal_number
+        return cover(h, node_cap=self.node_cap, lex_witness=self.lex_witness)
+
+    def cert(self, tag: str, parameter: str) -> Certificate:
+        if (tag, parameter) not in self._certs:
+            self._certs[tag, parameter] = self.solve(self.host(tag)[0], parameter)
+        return self._certs[tag, parameter]
+
+
+def _hereditary_checks(shared: _Shared, seed: int, samples: int) -> tuple[list[dict], dict, bool]:
+    g = shared.g
+    gamma_g, nu_g, tau_g = (shared.cert("G", p) for p in ("gamma", "nu", "tau"))
     checks: list[dict] = []
     certs = {"gamma_G": gamma_g.to_json(), "nu_G": nu_g.to_json(), "tau_G": tau_g.to_json()}
 
-    hosts = [("power-4-1", *generalized_power(g, 4, 1)),
-             ("power-4-2", *generalized_power(g, 4, 2))]
+    tags = ["power-4-1", "power-4-2"]
     if g.edge_count >= 2:
         mixed_a = tuple(1 if i % 2 == 0 else 0 for i in range(g.edge_count))
-        hosts.append(("mixed-4", *dilate(g, DilationSpec(4, (1,) * g.n, mixed_a))))
+        shared.hosts["mixed-4"] = dilate(g, DilationSpec(4, (1,) * g.n, mixed_a))
+        tags.append("mixed-4")
     for i in range(samples):
         for cls in ("gamma0", "gamma1", "any"):
-            hosts.append((f"random-{cls}-{i}",
-                          *random_dilation(g, 4 + (i % 2), seed=seed * 1000 + i, cls=cls)))
+            tag = f"random-{cls}-{i}"
+            shared.hosts[tag] = random_dilation(g, 4 + (i % 2), seed=seed * 1000 + i, cls=cls)
+            tags.append(tag)
 
-    for tag, h, w in hosts:
-        cls = classify_dilation(h, w)
-        gamma_h = domination_number(h, node_cap=node_cap, lex_witness=lex_witness)
-        nu_h = matching_number(h, node_cap=node_cap)
-        tau_h = transversal_number(h, node_cap=node_cap, lex_witness=lex_witness)
+    for tag in tags:
+        cls = classify_dilation(*shared.host(tag))
+        gamma_h, nu_h, tau_h = (shared.cert(tag, p) for p in ("gamma", "nu", "tau"))
         _check(checks, f"{tag}:nu_preserved", nu_g.value, nu_h.value)
         _check(checks, f"{tag}:tau_preserved", tau_g.value, tau_h.value)
         if not (gamma_g.value <= gamma_h.value <= tau_g.value):
@@ -282,8 +336,8 @@ def _hereditary_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, 
 
     for i in range(max(1, samples)):
         bh, _ = random_berge(g, 4, seed=seed * 1000 + i, pool=3)
-        nu_b = matching_number(bh, node_cap=node_cap)
-        tau_b = transversal_number(bh, node_cap=node_cap, lex_witness=lex_witness)
+        nu_b = shared.solve(bh, "nu")
+        tau_b = shared.solve(bh, "tau")
         if not nu_b.value <= nu_g.value:
             checks.append({"check": f"berge-{i}:nu_le",
                            "expected": f"<= {nu_g.value}", "got": nu_b.value})
@@ -292,28 +346,14 @@ def _hereditary_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, 
             checks.append({"check": f"berge-{i}:tau_le",
                            "expected": f"<= {tau_g.value}", "got": tau_b.value})
             certs[f"berge-{i}:tau_H"] = tau_b.to_json()
-    return key, checks, certs if checks else {}, False
+    return checks, certs if checks else {}, False
 
 
-def verify_hereditary(max_n: int, samples_per_graph: int = 1, seed: int = 0,
-                      node_cap: int = DEFAULT_NODE_CAP, jobs: int = 1) -> VerificationReport:
-    """Check invariant preservation on every connected graph up to max_n
-    vertices, over uniform, mixed, and random dilations plus general Berge
-    hosts."""
-    return _run_suite("hereditary", max_n,
-                      {"samples_per_graph": samples_per_graph, "node_cap": node_cap},
-                      _hereditary_worker, _graph_tasks(max_n, seed, samples_per_graph, node_cap),
-                      jobs, seed=seed)
-
-
-# -- extremal gamma1 suite -------------------------------------------------------
-
-def _gamma1_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
-    g, key, node_cap = task
-    h, _ = generalized_power(g, 4, 1)
-    gamma_h = domination_number(h, node_cap=node_cap, lex_witness=lex_witness)
-    nu_h = matching_number(h, node_cap=node_cap)
-    keg = is_keg(g, node_cap=node_cap, lex_witness=lex_witness)
+def _gamma1_checks(shared: _Shared, seed: int, samples: int) -> tuple[list[dict], dict, bool]:
+    g = shared.g
+    gamma_h, nu_h = shared.cert("power-4-1", "gamma"), shared.cert("power-4-1", "nu")
+    tau_g, nu_g = shared.cert("G", "tau"), shared.cert("G", "nu")
+    keg = KegVerdict(tau_g.value == nu_g.value, tau_g, nu_g)
     is_odd_complete = (g.edge_count == g.n * (g.n - 1) // 2
                        and g.n == 2 * keg.nu.value + 1)
     checks: list[dict] = []
@@ -324,25 +364,12 @@ def _gamma1_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool
     if checks:
         certs = {"gamma_H": gamma_h.to_json(), "nu_H": nu_h.to_json(),
                  "tau_G": keg.tau.to_json(), "nu_G": keg.nu.to_json()}
-    return key, checks, certs, False
+    return checks, certs, False
 
 
-def crosscheck_extremal_gamma1(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
-                               jobs: int = 1) -> VerificationReport:
-    """gamma = nu exactly on KEG supports; gamma = 2 nu exactly on odd
-    complete supports, verified by direct solves on a gamma1 dilation."""
-    return _run_suite("extremal-gamma1", max_n, {"node_cap": node_cap}, _gamma1_worker,
-                      _graph_tasks(max_n, node_cap), jobs)
-
-
-# -- extremal gamma0 suite ---------------------------------------------------------
-
-def _gamma0_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
-    g, key, node_cap = task
-    h, _ = generalized_power(g, 4, 2)
-    gamma_h = domination_number(h, node_cap=node_cap, lex_witness=lex_witness)
-    nu_h = matching_number(h, node_cap=node_cap)
-    verdict = union_family_member(g)
+def _gamma0_checks(shared: _Shared, seed: int, samples: int) -> tuple[list[dict], dict, bool]:
+    gamma_h, nu_h = shared.cert("power-4-2", "gamma"), shared.cert("power-4-2", "nu")
+    verdict = union_family_member(shared.g)
     checks: list[dict] = []
     _check(checks, f"equal_iff_member[{verdict.family}]",
            verdict.member, gamma_h.value == nu_h.value)
@@ -355,7 +382,63 @@ def _gamma0_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool
             or evidence.get("case") == "component_failure")
         certs = {"gamma_H": gamma_h.to_json(), "nu_H": nu_h.to_json(),
                  "family_verdict": verdict.to_json()}
-    return key, checks, certs, soft
+    return checks, certs, soft
+
+
+_GRAPH_CHECKS = {
+    "hereditary": _hereditary_checks,
+    "extremal-gamma1": _gamma1_checks,
+    "extremal-gamma0": _gamma0_checks,
+}
+
+
+def _graph_worker(task, lex_witness: bool) -> list[tuple]:
+    """One row per suite named in the task, all on one graph."""
+    g, key, suites, seed, samples, node_cap = task
+    shared = _Shared(g, node_cap, lex_witness)
+    return [(suite, key, *_GRAPH_CHECKS[suite](shared, seed, samples)) for suite in suites]
+
+
+def _graph_tasks(scales: dict[str, int], *shared):
+    """One task per connected graph on 2 up to the largest scale's vertices:
+    the graph, its instance key, the suites whose scale reaches its order,
+    then `shared`."""
+    for n in range(2, max(scales.values()) + 1):
+        suites = tuple(suite for suite, scale in scales.items() if scale >= n)
+        for cls in _connected_classes(n):
+            yield (cls.graph, f"n{n}:{cls.code}", suites, *shared)
+
+
+def _graph_suites(scales: dict[str, int], node_cap: int, jobs: int, samples: int = 1,
+                  seed: int = 0) -> dict[str, VerificationReport]:
+    """The reports of the graph suites named in `scales`, from one sweep over
+    the connected graphs. `samples` and `seed` go to hereditary alone."""
+    requests = {}
+    for suite, scale in scales.items():
+        config: dict = {"node_cap": node_cap}
+        if suite == "hereditary":
+            config["samples_per_graph"] = samples
+        if suite == "extremal-gamma0":
+            config["nb_candidates"] = len(load_g2nb_candidates())
+        requests[suite] = (scale, config, seed if suite == "hereditary" else None)
+    return _run_suites(requests, _graph_worker,
+                       _graph_tasks(scales, seed, samples, node_cap), jobs)
+
+
+def verify_hereditary(max_n: int, samples_per_graph: int = 1, seed: int = 0,
+                      node_cap: int = DEFAULT_NODE_CAP, jobs: int = 1) -> VerificationReport:
+    """Check invariant preservation on every connected graph up to max_n
+    vertices, over uniform, mixed, and random dilations plus general Berge
+    hosts."""
+    return _graph_suites({"hereditary": max_n}, node_cap, jobs, samples_per_graph,
+                         seed)["hereditary"]
+
+
+def crosscheck_extremal_gamma1(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
+                               jobs: int = 1) -> VerificationReport:
+    """gamma = nu exactly on KEG supports; gamma = 2 nu exactly on odd
+    complete supports, verified by direct solves on a gamma1 dilation."""
+    return _graph_suites({"extremal-gamma1": max_n}, node_cap, jobs)["extremal-gamma1"]
 
 
 def crosscheck_extremal_gamma0(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
@@ -363,14 +446,12 @@ def crosscheck_extremal_gamma0(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
     """gamma = nu on a gamma0 dilation exactly when the support graph belongs
     to the union of the three characterization families. Mismatches routed
     through the behaviorally-derived component condition are soft."""
-    return _run_suite("extremal-gamma0", max_n,
-                      {"node_cap": node_cap, "nb_candidates": len(load_g2nb_candidates())},
-                      _gamma0_worker, _graph_tasks(max_n, node_cap), jobs)
+    return _graph_suites({"extremal-gamma0": max_n}, node_cap, jobs)["extremal-gamma0"]
 
 
 # -- nonextremal suite ---------------------------------------------------------------
 
-def _nonextremal_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
+def _nonextremal_worker(task, lex_witness: bool) -> list[tuple]:
     key, g, power_s, n, predicted_gamma, node_cap = task
     h, _ = generalized_power(g, 4, power_s)
     nu_h = matching_number(h, node_cap=node_cap)
@@ -378,7 +459,8 @@ def _nonextremal_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict,
     checks: list[dict] = []
     _check(checks, "nu", n, nu_h.value)
     _check(checks, "gamma", predicted_gamma, gamma_h.value)
-    return key, checks, {"nu_H": nu_h.to_json(), "gamma_H": gamma_h.to_json()}, False
+    return [("nonextremal", key, checks,
+             {"nu_H": nu_h.to_json(), "gamma_H": gamma_h.to_json()}, False)]
 
 
 def _nonextremal_tasks(n_max: int, node_cap: int):
@@ -401,7 +483,7 @@ def _coverage_rows(results: list, n_max: int) -> list:
     [n+1, 2n-1] must be realized by some instance whose matching number
     really is n."""
     realized: dict[int, set[int]] = {n: set() for n in range(2, n_max + 1)}
-    for key, _checks, certs, _soft in results:
+    for _suite, key, _checks, certs, _soft in results:
         n = int(key[1:key.index(":")])
         if certs.get("nu_H", {}).get("value") == n:
             realized[n].add(certs["gamma_H"]["value"])
@@ -413,7 +495,7 @@ def _coverage_rows(results: list, n_max: int) -> list:
         if missing:
             checks.append({"check": "coverage", "expected": "all m realized",
                            "got": f"missing {missing}"})
-        rows.append((f"n{n}:coverage", checks, {}, False))
+        rows.append(("nonextremal", f"n{n}:coverage", checks, {}, False))
     return rows
 
 
@@ -423,14 +505,14 @@ def verify_nonextremal(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
     extremes: odd cycles, complete graphs, clique-deleted complete graphs,
     and the amalgamated triangle families; plus a coverage check that every
     target value is realized."""
-    return _run_suite("nonextremal", n_max, {"node_cap": node_cap}, _nonextremal_worker,
-                      _nonextremal_tasks(n_max, node_cap), jobs,
-                      extra_rows=lambda results: _coverage_rows(results, n_max))
+    return _run_suites({"nonextremal": (n_max, {"node_cap": node_cap}, None)},
+                       _nonextremal_worker, _nonextremal_tasks(n_max, node_cap), jobs,
+                       extra_rows=lambda rows: _coverage_rows(rows, n_max))["nonextremal"]
 
 
 # -- counterexample suite ------------------------------------------------------------------
 
-def _counterexample_worker(task, lex_witness: bool) -> tuple[str, list[dict], dict, bool]:
+def _counterexample_worker(task, lex_witness: bool) -> list[tuple]:
     n, node_cap = task
     g = complete_bipartite(2, n)
     h, _ = generalized_power(g, 4, 2)
@@ -443,15 +525,16 @@ def _counterexample_worker(task, lex_witness: bool) -> tuple[str, list[dict], di
     _check(checks, "not_in_g2nb", False, in_family_g2nb(g).member)
     _check(checks, "not_in_g1", False, in_family_g1(g).member)
     certs = {"gamma_H": gamma_h.to_json(), "nu_H": nu_h.to_json()} if checks else {}
-    return f"K2,{n}", checks, certs, False
+    return [("counterexample", f"K2,{n}", checks, certs, False)]
 
 
 def verify_counterexample(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
                     jobs: int = 1) -> VerificationReport:
     """K_{2,n} attains gamma = nu on gamma0 dilations while belonging to the
     bipartite family only, refuting any characterization that omits it."""
-    return _run_suite("counterexample", n_max, {"node_cap": node_cap}, _counterexample_worker,
-                      ((n, node_cap) for n in range(2, n_max + 1)), jobs)
+    return _run_suites({"counterexample": (n_max, {"node_cap": node_cap}, None)},
+                       _counterexample_worker, ((n, node_cap) for n in range(2, n_max + 1)),
+                       jobs)["counterexample"]
 
 
 SUITES = {
@@ -461,3 +544,31 @@ SUITES = {
     "nonextremal": verify_nonextremal,
     "counterexample": verify_counterexample,
 }
+
+
+def run_suites(names: list[str], max_n: Optional[int] = None, samples: int = 1,
+               seed: int = 0, node_cap: int = DEFAULT_NODE_CAP,
+               jobs: int = 1) -> list[VerificationReport]:
+    """The reports of the named suites, in the order named. Each suite runs
+    at `max_n`, or at its default scale when max_n is None; when several
+    suites are named, `max_n` is capped at each one's largest scale.
+    `samples` and `seed` go to hereditary alone.
+
+    The graph suites among the names share one sweep, run where the first of
+    them is named: each graph's hosts and solves are built once for all of
+    them, and each of their reports carries the sweep's wall time."""
+    scales = {}
+    for name in names:
+        spec = SUITE_SCALES[name]
+        scale = spec.default if max_n is None else max_n
+        scales[name] = min(scale, spec.cap) if len(names) > 1 else scale
+    graph_scales = {name: scale for name, scale in scales.items() if name in _GRAPH_CHECKS}
+    reports: dict[str, VerificationReport] = {}
+    for name in names:
+        if name in reports:
+            continue
+        if name in graph_scales:
+            reports.update(_graph_suites(graph_scales, node_cap, jobs, samples, seed))
+        else:
+            reports[name] = SUITES[name](scales[name], node_cap=node_cap, jobs=jobs)
+    return [reports[name] for name in names]

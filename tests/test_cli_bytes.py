@@ -17,6 +17,7 @@ from dilations.cli import main
 
 FILES = {
     "g.el": "n 4\n0 1\n2 3\n",
+    "bad.el": "0 1 2\n1 2\n",
     "h.txt": "m 9\n0 1 2\n3 4 5\n6 7 8\n",
     "w.json": '{"edge_map": [0, 1, 3, 5, 6, 2, 4], "injection": [0, 1, 3, 2, 5, 6, 4]}\n',
     "w_bad.json": '{"edge_map": [0, 1, 2, 3, 4, 5, 6], "injection": [0, 1, 2, 3, 4, 5, 6]}\n',
@@ -114,6 +115,9 @@ CASES = [
      {"text": "1dfd3e9d9bd44011", "json": "1dfd3e9d9bd44011", "csv": "1dfd3e9d9bd44011"}),
     ("invariant --param tau --family nosuch:3",
      {"text": "516ce2345c3327ef", "json": "516ce2345c3327ef", "csv": "516ce2345c3327ef"}),
+    # a first line of more than one token is read as an edge list
+    ("gen --graph bad.el",
+     {"text": "674ea624a1e7de76", "json": "674ea624a1e7de76", "csv": "674ea624a1e7de76"}),
     ("derive-nb --max-n 2",
      {"text": "553a6cc09106c19c", "json": "553a6cc09106c19c", "csv": "553a6cc09106c19c"}),
     ("verify hereditary --max-n 1",

@@ -1,23 +1,26 @@
 import dataclasses
 import json
 import warnings
+from collections import Counter
 
 import jsonschema
 import pytest
 
 from dilations import harness
+from dilations.cli import main
 from dilations.dilation import (DilationClass, DilationSpec, RankDeficitWarning,
-                                classify_dilation, dilate)
+                                classify_dilation, dilate, generalized_power)
 from dilations.errors import DomainError
 from dilations.graphs import cycle
 from dilations.harness import (SUITE_SCALES, SUITES, FailureRecord,
                                VerificationReport,
                                crosscheck_extremal_gamma0,
                                crosscheck_extremal_gamma1, verify_counterexample,
-                               verify_hereditary, verify_nonextremal)
+                               run_suites, verify_hereditary, verify_nonextremal)
 from dilations.hypergraphs import Hypergraph
 from dilations.families import in_family_g2b, union_family_member
-from dilations.invariants import DEFAULT_NODE_CAP, check_certificate, domination_number, is_keg
+from dilations.invariants import (DEFAULT_NODE_CAP, KegVerdict, check_certificate,
+                                  domination_number)
 from importlib import resources
 
 
@@ -85,11 +88,19 @@ class TestDeterminism:
 
     def test_worker_count_clamped(self, monkeypatch):
         # pure arithmetic on the pool size; no pool is started
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         assert harness._worker_count(10_000, 500) == 4
         assert harness._worker_count(3, 500) == 3
         assert harness._worker_count(8, 2) == 2
         assert harness._worker_count(8, 0) == 0
+        # the CPUs this process may run on, not all of the machine's
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {1})
+        assert harness._worker_count(2, 100) == 1
+        # where the platform has no affinity mask, the CPU count
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        assert harness._worker_count(10_000, 500) == 8
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         assert harness._worker_count(8, 500) == 1
 
@@ -155,6 +166,11 @@ def _swap_gamma_classes(h, w):
     return swap.get(cls, cls)
 
 
+def _flip_keg_on_even_nu(keg, tau, nu):
+    """A KEG verdict negated where nu(G) is even."""
+    return KegVerdict(keg != (nu.value % 2 == 0), tau, nu)
+
+
 def _raise_gamma_on_even_n(nonextremal_tasks):
     """nonextremal_tasks with the predicted gamma raised by 1 on even n."""
     def raised(n_max, node_cap):
@@ -169,14 +185,14 @@ class TestWitnessRetry:
     # witness passes gives. Wrong verdicts or predictions are patched in to
     # make some tasks fail; at jobs=1 the patches reach the workers.
     @pytest.mark.parametrize("suite, worker, tasks, name, fake", [
-        (lambda: verify_hereditary(4, samples_per_graph=1, seed=7), harness._hereditary_worker,
-         lambda: harness._graph_tasks(4, 7, 1, DEFAULT_NODE_CAP),
+        (lambda: verify_hereditary(4, samples_per_graph=1, seed=7), harness._graph_worker,
+         lambda: harness._graph_tasks({"hereditary": 4}, 7, 1, DEFAULT_NODE_CAP),
          "classify_dilation", _swap_gamma_classes),
-        (lambda: crosscheck_extremal_gamma1(5), harness._gamma1_worker,
-         lambda: harness._graph_tasks(5, DEFAULT_NODE_CAP),
-         "is_keg", _flip_on_even_n(is_keg, "keg")),
-        (lambda: crosscheck_extremal_gamma0(5), harness._gamma0_worker,
-         lambda: harness._graph_tasks(5, DEFAULT_NODE_CAP),
+        (lambda: crosscheck_extremal_gamma1(5), harness._graph_worker,
+         lambda: harness._graph_tasks({"extremal-gamma1": 5}, 0, 1, DEFAULT_NODE_CAP),
+         "KegVerdict", _flip_keg_on_even_nu),
+        (lambda: crosscheck_extremal_gamma0(5), harness._graph_worker,
+         lambda: harness._graph_tasks({"extremal-gamma0": 5}, 0, 1, DEFAULT_NODE_CAP),
          "union_family_member", _flip_on_even_n(union_family_member, "member")),
         (lambda: verify_nonextremal(4), harness._nonextremal_worker,
          lambda: harness._nonextremal_tasks(4, DEFAULT_NODE_CAP),
@@ -194,9 +210,102 @@ class TestWitnessRetry:
         failures = [f for f in report.failures if not f.instance.endswith(":coverage")]
         with_witnesses = [worker(task, lex_witness=True) for task in tasks]
         assert failures == sorted((FailureRecord(key, tuple(checks), certs, soft)
-                                   for key, checks, certs, soft in with_witnesses if checks),
+                                   for rows in with_witnesses
+                                   for _suite, key, checks, certs, soft in rows if checks),
                                   key=lambda f: f.instance)
         assert 0 < len(failures) < len(tasks)
         # the records differ from the first pass's, so the second pass is needed
-        assert any(worker(task, lex_witness=False) != result
-                   for task, result in zip(tasks, with_witnesses) if result[1])
+        assert any(worker(task, lex_witness=False) != rows
+                   for task, rows in zip(tasks, with_witnesses) if any(r[2] for r in rows))
+
+    @pytest.fixture(scope="class")
+    def unpatched_all(self):
+        return run_suites(sorted(SUITES), 5, seed=7)
+
+    @pytest.mark.parametrize("suite, name, fake", [
+        ("hereditary", "classify_dilation", _swap_gamma_classes),
+        ("extremal-gamma1", "KegVerdict", _flip_keg_on_even_nu),
+        ("extremal-gamma0", "union_family_member",
+         _flip_on_even_n(union_family_member, "member")),
+    ])
+    def test_verify_all_changes_only_the_failing_suite(self, monkeypatch, unpatched_all,
+                                                       suite, name, fake):
+        # in the shared sweep a graph with a failing row runs again whole;
+        # the other suites' rows of that graph must come out as before
+        monkeypatch.setattr(harness, name, fake)
+        patched = run_suites(sorted(SUITES), 5, seed=7)
+        alone = run_suites([suite], 5, seed=7)[0]
+        for before, after in zip(unpatched_all, patched):
+            if after.suite == suite:
+                assert after.failures
+                assert after.to_json_dict() == alone.to_json_dict()
+            else:
+                assert after.to_json_dict() == before.to_json_dict()
+
+
+class TestSharedSweep:
+    @pytest.mark.parametrize("max_n, jobs", [(6, 1), (6, 2), (None, 1)])
+    def test_verify_all_reports_equal_suites_alone(self, capsys, max_n, jobs):
+        scale_args = [] if max_n is None else ["--max-n", str(max_n)]
+
+        def reports(suite, *args):
+            assert main(["verify", suite, *args, "--jobs", str(jobs), "--format", "json",
+                         "--no-timestamp"]) == 0
+            return json.loads(capsys.readouterr().out)["result"]["reports"]
+
+        swept = reports("all", *scale_args)
+        assert [r["suite"] for r in swept] == sorted(SUITES)
+        for report in swept:
+            spec = SUITE_SCALES[report["suite"]]
+            scale = spec.default if max_n is None else min(max_n, spec.cap)
+            assert [report] == reports(report["suite"], "--max-n", str(scale))
+
+    def test_shared_solves_run_once_per_graph(self, monkeypatch):
+        # solves are counted per graph task and per instance, by content; a
+        # sampled host of hereditary may equal G's hypergraph or a power by
+        # content, so solves of the sampled hosts are left out
+        calls = Counter()
+        needed = {}
+        current = []
+        sampled = []
+
+        def counted(solve, parameter):
+            def wrapped(h, *args, **kwargs):
+                if current and not any(h is s for s in sampled):
+                    calls[current[-1], parameter, h.m, tuple(h.edge_masks)] += 1
+                return solve(h, *args, **kwargs)
+            return wrapped
+
+        def recorded(build):
+            def wrapped(*args, **kwargs):
+                h, w = build(*args, **kwargs)
+                sampled.append(h)
+                return h, w
+            return wrapped
+
+        def tracked_worker(task, lex_witness):
+            g, key = task[:2]
+            needed[key] = [Hypergraph.from_graph(g), generalized_power(g, 4, 1)[0],
+                           generalized_power(g, 4, 2)[0]]
+            current.append(key)
+            try:
+                return graph_worker(task, lex_witness)
+            finally:
+                current.pop()
+
+        graph_worker = harness._graph_worker
+        monkeypatch.setattr(harness, "_graph_worker", tracked_worker)
+        for name in ("dilate", "random_dilation", "random_berge"):
+            monkeypatch.setattr(harness, name, recorded(getattr(harness, name)))
+        for name, parameter in (("domination_number", "gamma"), ("matching_number", "nu"),
+                                ("transversal_number", "tau")):
+            monkeypatch.setattr(harness, name, counted(getattr(harness, name), parameter))
+        assert main(["verify", "all", "--max-n", "5", "--jobs", "1", "--format", "json",
+                     "--no-timestamp"]) == 0
+        assert len(needed) == 30  # connected graphs on 2 to 5 vertices
+        for key, hosts in needed.items():
+            # one solve per host and parameter; the two powers of K2 are equal
+            per_content = Counter((h.m, tuple(h.edge_masks)) for h in hosts)
+            for content, count in per_content.items():
+                for parameter in ("gamma", "nu", "tau"):
+                    assert calls[(key, parameter, *content)] == count, (key, parameter)
