@@ -191,10 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[capped], help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="hereditary's seed (default: 0)")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--max-n", type=int)
-    p.add_argument("--samples", type=_int_at_least(0), default=1)
+    p.add_argument("--samples", type=_int_at_least(0),
+                   help="hereditary's random dilations per graph (default: 1)")
     return parser
 
 
@@ -344,11 +345,16 @@ def _cmd_derive_nb(args):
 
 def _cmd_verify(args):
     """Also returns the exit code: 1 when some suite fails."""
+    if args.suite not in ("hereditary", "all"):
+        for option, value in (("--seed", args.seed), ("--samples", args.samples)):
+            if value is not None:
+                raise SystemExit2(f"{option} applies only to verify hereditary and all")
+    samples = 1 if args.samples is None else args.samples
+    seed = 0 if args.seed is None else args.seed
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    reports = run_suites(names, args.max_n, args.samples, args.seed, args.node_cap, args.jobs)
+    reports = run_suites(names, args.max_n, samples, seed, args.node_cap, args.jobs)
     ok = all(r.ok for r in reports)
-    config = {"suites": names, "max_n": args.max_n, "samples": args.samples,
-              "seed": args.seed}
+    config = {"suites": names, "max_n": args.max_n, "samples": samples, "seed": seed}
     lines = [r.to_csv() if args.format == "csv" else r.to_text() for r in reports]
     result = {"reports": [r.to_json_dict() for r in reports], "ok": ok}
     return config, _payload(args, result, lines), int(not ok)

@@ -308,9 +308,14 @@ def extremal_class_gamma1(g: Graph) -> ExtremalGamma1:
         raise DomainError("extremal classification requires a connected graph")
     verdict = is_keg(g)
     tau, nu = verdict.tau, verdict.nu
-    if verdict.keg:
-        return ExtremalGamma1("equal", tau.value, tau, nu)
-    is_odd_complete = (g.edge_count == g.n * (g.n - 1) // 2 and g.n == 2 * nu.value + 1)
-    if is_odd_complete:
-        return ExtremalGamma1("double", tau.value, tau, nu)
-    return ExtremalGamma1("strict", tau.value, tau, nu)
+    return ExtremalGamma1(_gamma1_kind(g, tau.value, nu.value), tau.value, tau, nu)
+
+
+def _gamma1_kind(g: Graph, tau: int, nu: int) -> str:
+    """The kind of extremal_class_gamma1 for a graph g with transversal
+    number tau and matching number nu."""
+    if tau == nu:
+        return "equal"
+    if g.edge_count == g.n * (g.n - 1) // 2 and g.n == 2 * nu + 1:
+        return "double"
+    return "strict"

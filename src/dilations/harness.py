@@ -23,25 +23,30 @@ Suites:
 
 SUITE_SCALES gives each suite its largest supported scale and the scale the
 CLI runs by default. `run_suites` turns a list of suite names and one scale
-into a scale per suite and returns their reports. One driver checks each
-scale against the table, runs the tasks serially or in a process pool, and
-tallies each suite's rows into a VerificationReport.
+into a scale per suite and returns their reports.
 
-The three graph suites (hereditary, extremal-gamma1, extremal-gamma0) check
-every connected graph up to their scale, so they share one sweep. The
-enumeration runs once and each graph is one task. The task builds G's
-hypergraph and its (4,1) and (4,2) powers once, solves each of them once
-per invariant, and returns one row per suite whose scale reaches the graph's
-order. The KEG verdict of extremal-gamma1 comes from the shared tau(G) and
-nu(G). A graph suite run alone takes the same path with one name. Nothing is
-kept from one graph's task to the next.
+Each suite is a check function in `_CHECKS`, and every task has one shape:
+a graph G, an instance key, the suites that check G with their parameters,
+and the node cap. The one worker builds a `_Shared` for G, which makes G's
+hypergraph, its (4,1) and (4,2) powers and their solves on first use, and
+calls each named suite's check on it, so suites that check the same graph
+share its solves; it returns one row per suite. The one driver, `_sweep`,
+checks each scale against SUITE_SCALES, runs the suites' tasks serially or
+in a process pool, and tallies each suite's rows into a VerificationReport.
+Nothing is kept from one task to the next.
 
-Every worker takes `lex_witness` and returns a list of rows. The driver's
-first pass solves gamma and tau without the lexicographic witness pass,
-since a passing row reads only values (the nonextremal coverage rows too).
-It then runs the tasks that have a failing row again with the pass, so a
-failure record carries the same certificates as a single run with witness
-passes would.
+A connected graph is one task for every graph suite (hereditary,
+extremal-gamma1, extremal-gamma0) whose scale reaches its order; each
+nonextremal construction and each K_{2,n} of counterexample is a task of
+its suite alone. `verify all` runs the graph suites in one sweep, and
+nonextremal and counterexample each in a sweep of its own through their
+SUITES entries, since the benchmark times those two by wrapping the entries.
+
+The driver's first pass solves gamma and tau without the lexicographic
+witness pass, since a passing row reads only values (the nonextremal
+coverage rows too). It then runs the tasks that have a failing row again
+with the pass, so a failure record carries the same certificates as a single
+run with witness passes would.
 """
 
 from __future__ import annotations
@@ -55,20 +60,20 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .berge import random_berge
 from .dilation import (DilationClass, DilationSpec, RankDeficitWarning,
                        classify_dilation, dilate, generalized_power,
                        random_dilation)
 from .errors import DomainError
-from .families import (in_family_g1, in_family_g2b, in_family_g2nb,
+from .families import (_gamma1_kind, in_family_g1, in_family_g2b, in_family_g2nb,
                        load_g2nb_candidates, union_family_member)
 from .graphs import Graph, complete, complete_bipartite, complete_minus_clique, \
     cycle, g_nr, ghat_nr
 from .hypergraphs import Hypergraph
-from .invariants import (DEFAULT_NODE_CAP, Certificate, KegVerdict,
-                         domination_number, matching_number, transversal_number)
+from .invariants import (DEFAULT_NODE_CAP, Certificate, domination_number,
+                         matching_number, transversal_number)
 from .isomorphism import _connected_classes
 
 
@@ -91,8 +96,8 @@ class VerificationReport:
     seed: Optional[int]
     instances: list[str] = field(default_factory=list)  # instance keys, sorted
     failures: list[FailureRecord] = field(default_factory=list)
-    # informational, excluded from serialized forms; a graph suite run with
-    # others carries the time of their shared sweep
+    # informational, excluded from serialized forms: the time of the sweep
+    # that made the report, shared by the graph suites of one `verify all`
     wall_time: float = 0.0
 
     @property
@@ -177,52 +182,6 @@ SUITE_SCALES = {
 }
 
 
-def _run_suites(requests: dict[str, tuple[int, dict, Optional[int]]], worker: Callable,
-                tasks: Iterable, jobs: int,
-                extra_rows: Optional[Callable[[list], list]] = None
-                ) -> dict[str, VerificationReport]:
-    """Check each requested scale against its suite's table entry, run
-    `worker` on `tasks` with lex_witness=False, run the tasks that have a
-    failing row again with lex_witness=True, and tally each suite's rows,
-    sorted by instance key, into its report.
-
-    `requests` maps each suite to its scale, config and report seed. A worker
-    returns a list of rows (suite, key, checks, certs, soft). `tasks` is
-    iterated only after the check, so a generator builds no task for an
-    unsupported scale. `extra_rows` derives further rows of a suite from all
-    of its rows. Every report carries the wall time of the whole run."""
-    for suite, (scale, _config, _seed) in requests.items():
-        spec = SUITE_SCALES[suite]
-        if not 2 <= scale <= spec.cap:
-            raise DomainError(f"{suite} suite supports 2 <= {spec.param} <= {spec.cap}")
-    t0 = time.perf_counter()
-    tasks = list(tasks)
-    results = _run_tasks(tasks, functools.partial(worker, lex_witness=False), jobs)
-    failing = [i for i, rows in enumerate(results) if any(row[2] for row in rows)]
-    retried = _run_tasks([tasks[i] for i in failing],
-                         functools.partial(worker, lex_witness=True), jobs)
-    for i, rows in zip(failing, retried):
-        results[i] = rows
-    by_suite: dict[str, list] = {suite: [] for suite in requests}
-    for rows in results:
-        for row in rows:
-            by_suite[row[0]].append(row)
-    wall_time = time.perf_counter() - t0
-    reports = {}
-    for suite, rows in by_suite.items():
-        if extra_rows is not None:
-            rows += extra_rows(rows)
-        rows.sort(key=lambda r: r[1])
-        scale, config, seed = requests[suite]
-        reports[suite] = VerificationReport(
-            suite, {SUITE_SCALES[suite].param: scale, **config}, seed,
-            instances=[r[1] for r in rows],
-            failures=[FailureRecord(key, tuple(checks), certs, soft)
-                      for _suite, key, checks, certs, soft in rows if checks],
-            wall_time=wall_time)
-    return reports
-
-
 def _worker_count(jobs: int, n_tasks: int) -> int:
     """Pool size for `jobs` requested workers: never more than the CPUs this
     process may run on, or the tasks, since a pool starts every worker up
@@ -257,14 +216,13 @@ def _check(checks: list, name: str, expected, got):
         checks.append({"check": name, "expected": expected, "got": got})
 
 
-# -- the graph suites: hereditary, extremal-gamma1, extremal-gamma0 ---------------
+# -- the check functions and their tasks ---------------------------------------------
 
 class _Shared:
-    """The hosts and certificates of one graph's task, each built on first
-    use: G's hypergraph under the tag "G", its (4, s) powers under
-    "power-4-s", and any host a check adds to `hosts`. The task's suites read
-    the same objects, so a solve they share runs once; nothing outlives the
-    task."""
+    """The hosts and certificates of one task, each built on first use: G's
+    hypergraph under the tag "G", its (4, s) powers under "power-4-s", and
+    any host a check adds to `hosts`. The task's suites read the same
+    objects, so a solve they share runs once; nothing outlives the task."""
 
     def __init__(self, g: Graph, node_cap: int, lex_witness: bool):
         self.g = g
@@ -349,25 +307,22 @@ def _hereditary_checks(shared: _Shared, seed: int, samples: int) -> tuple[list[d
     return checks, certs if checks else {}, False
 
 
-def _gamma1_checks(shared: _Shared, seed: int, samples: int) -> tuple[list[dict], dict, bool]:
-    g = shared.g
+def _gamma1_checks(shared: _Shared) -> tuple[list[dict], dict, bool]:
     gamma_h, nu_h = shared.cert("power-4-1", "gamma"), shared.cert("power-4-1", "nu")
     tau_g, nu_g = shared.cert("G", "tau"), shared.cert("G", "nu")
-    keg = KegVerdict(tau_g.value == nu_g.value, tau_g, nu_g)
-    is_odd_complete = (g.edge_count == g.n * (g.n - 1) // 2
-                       and g.n == 2 * keg.nu.value + 1)
+    kind = _gamma1_kind(shared.g, tau_g.value, nu_g.value)
     checks: list[dict] = []
-    _check(checks, "equal_iff_keg", keg.keg, gamma_h.value == nu_h.value)
-    _check(checks, "double_iff_odd_complete", is_odd_complete,
+    _check(checks, "equal_iff_keg", kind == "equal", gamma_h.value == nu_h.value)
+    _check(checks, "double_iff_odd_complete", kind == "double",
            gamma_h.value == 2 * nu_h.value)
     certs = {}
     if checks:
         certs = {"gamma_H": gamma_h.to_json(), "nu_H": nu_h.to_json(),
-                 "tau_G": keg.tau.to_json(), "nu_G": keg.nu.to_json()}
+                 "tau_G": tau_g.to_json(), "nu_G": nu_g.to_json()}
     return checks, certs, False
 
 
-def _gamma0_checks(shared: _Shared, seed: int, samples: int) -> tuple[list[dict], dict, bool]:
+def _gamma0_checks(shared: _Shared) -> tuple[list[dict], dict, bool]:
     gamma_h, nu_h = shared.cert("power-4-2", "gamma"), shared.cert("power-4-2", "nu")
     verdict = union_family_member(shared.g)
     checks: list[dict] = []
@@ -385,97 +340,78 @@ def _gamma0_checks(shared: _Shared, seed: int, samples: int) -> tuple[list[dict]
     return checks, certs, soft
 
 
-_GRAPH_CHECKS = {
-    "hereditary": _hereditary_checks,
-    "extremal-gamma1": _gamma1_checks,
-    "extremal-gamma0": _gamma0_checks,
-}
-
-
-def _graph_worker(task, lex_witness: bool) -> list[tuple]:
-    """One row per suite named in the task, all on one graph."""
-    g, key, suites, seed, samples, node_cap = task
-    shared = _Shared(g, node_cap, lex_witness)
-    return [(suite, key, *_GRAPH_CHECKS[suite](shared, seed, samples)) for suite in suites]
-
-
-def _graph_tasks(scales: dict[str, int], *shared):
-    """One task per connected graph on 2 up to the largest scale's vertices:
-    the graph, its instance key, the suites whose scale reaches its order,
-    then `shared`."""
-    for n in range(2, max(scales.values()) + 1):
-        suites = tuple(suite for suite, scale in scales.items() if scale >= n)
-        for cls in _connected_classes(n):
-            yield (cls.graph, f"n{n}:{cls.code}", suites, *shared)
-
-
-def _graph_suites(scales: dict[str, int], node_cap: int, jobs: int, samples: int = 1,
-                  seed: int = 0) -> dict[str, VerificationReport]:
-    """The reports of the graph suites named in `scales`, from one sweep over
-    the connected graphs. `samples` and `seed` go to hereditary alone."""
-    requests = {}
-    for suite, scale in scales.items():
-        config: dict = {"node_cap": node_cap}
-        if suite == "hereditary":
-            config["samples_per_graph"] = samples
-        if suite == "extremal-gamma0":
-            config["nb_candidates"] = len(load_g2nb_candidates())
-        requests[suite] = (scale, config, seed if suite == "hereditary" else None)
-    return _run_suites(requests, _graph_worker,
-                       _graph_tasks(scales, seed, samples, node_cap), jobs)
-
-
-def verify_hereditary(max_n: int, samples_per_graph: int = 1, seed: int = 0,
-                      node_cap: int = DEFAULT_NODE_CAP, jobs: int = 1) -> VerificationReport:
-    """Check invariant preservation on every connected graph up to max_n
-    vertices, over uniform, mixed, and random dilations plus general Berge
-    hosts."""
-    return _graph_suites({"hereditary": max_n}, node_cap, jobs, samples_per_graph,
-                         seed)["hereditary"]
-
-
-def crosscheck_extremal_gamma1(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
-                               jobs: int = 1) -> VerificationReport:
-    """gamma = nu exactly on KEG supports; gamma = 2 nu exactly on odd
-    complete supports, verified by direct solves on a gamma1 dilation."""
-    return _graph_suites({"extremal-gamma1": max_n}, node_cap, jobs)["extremal-gamma1"]
-
-
-def crosscheck_extremal_gamma0(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
-                               jobs: int = 1) -> VerificationReport:
-    """gamma = nu on a gamma0 dilation exactly when the support graph belongs
-    to the union of the three characterization families. Mismatches routed
-    through the behaviorally-derived component condition are soft."""
-    return _graph_suites({"extremal-gamma0": max_n}, node_cap, jobs)["extremal-gamma0"]
-
-
-# -- nonextremal suite ---------------------------------------------------------------
-
-def _nonextremal_worker(task, lex_witness: bool) -> list[tuple]:
-    key, g, power_s, n, predicted_gamma, node_cap = task
-    h, _ = generalized_power(g, 4, power_s)
-    nu_h = matching_number(h, node_cap=node_cap)
-    gamma_h = domination_number(h, node_cap=node_cap, lex_witness=lex_witness)
+def _nonextremal_checks(shared: _Shared, s: int, n: int,
+                        predicted_gamma: int) -> tuple[list[dict], dict, bool]:
+    """G^(4,s) has matching number n and the predicted gamma. The
+    certificates come with every row, since the coverage rows read them."""
+    nu_h, gamma_h = shared.cert(f"power-4-{s}", "nu"), shared.cert(f"power-4-{s}", "gamma")
     checks: list[dict] = []
     _check(checks, "nu", n, nu_h.value)
     _check(checks, "gamma", predicted_gamma, gamma_h.value)
-    return [("nonextremal", key, checks,
-             {"nu_H": nu_h.to_json(), "gamma_H": gamma_h.to_json()}, False)]
+    return checks, {"nu_H": nu_h.to_json(), "gamma_H": gamma_h.to_json()}, False
 
 
-def _nonextremal_tasks(n_max: int, node_cap: int):
-    """One task per construction: its instance key, the graph G, the s of the
+def _counterexample_checks(shared: _Shared) -> tuple[list[dict], dict, bool]:
+    g = shared.g
+    gamma_h, nu_h = shared.cert("power-4-2", "gamma"), shared.cert("power-4-2", "nu")
+    checks: list[dict] = []
+    _check(checks, "gamma", 2, gamma_h.value)
+    _check(checks, "nu", 2, nu_h.value)
+    _check(checks, "in_g2b", True, in_family_g2b(g).member)
+    _check(checks, "not_in_g2nb", False, in_family_g2nb(g).member)
+    _check(checks, "not_in_g1", False, in_family_g1(g).member)
+    certs = {"gamma_H": gamma_h.to_json(), "nu_H": nu_h.to_json()} if checks else {}
+    return checks, certs, False
+
+
+_CHECKS = {
+    "hereditary": _hereditary_checks,
+    "extremal-gamma1": _gamma1_checks,
+    "extremal-gamma0": _gamma0_checks,
+    "nonextremal": _nonextremal_checks,
+    "counterexample": _counterexample_checks,
+}
+
+
+def _worker(task, lex_witness: bool) -> list[tuple]:
+    """One row (suite, key, checks, certs, soft) per suite named in the task,
+    all on one graph."""
+    g, key, suites, node_cap = task
+    shared = _Shared(g, node_cap, lex_witness)
+    return [(suite, key, *_CHECKS[suite](shared, *params)) for suite, params in suites]
+
+
+def _constructions(n_max: int):
+    """The nonextremal constructions: instance key, the graph G, the s of the
     power G^(4,s), the matching number n and the predicted gamma of the power."""
     for n in range(2, n_max + 1):
-        yield f"n{n}:C{2 * n + 1}:gamma1", cycle(2 * n + 1), 1, n, n + 1, node_cap
-        yield f"n{n}:K{2 * n}:gamma1", complete(2 * n), 1, n, 2 * n - 1, node_cap
-        yield f"n{n}:K{2 * n}:gamma0", complete(2 * n), 2, n, 1, node_cap
+        yield f"n{n}:C{2 * n + 1}:gamma1", cycle(2 * n + 1), 1, n, n + 1
+        yield f"n{n}:K{2 * n}:gamma1", complete(2 * n), 1, n, 2 * n - 1
+        yield f"n{n}:K{2 * n}:gamma0", complete(2 * n), 2, n, 1
         for r in range(2, n):
-            yield (f"n{n}:K{2 * n}-K{r}:gamma1", complete_minus_clique(n, r), 1, n,
-                   2 * n - r, node_cap)
+            yield f"n{n}:K{2 * n}-K{r}:gamma1", complete_minus_clique(n, r), 1, n, 2 * n - r
         for r in range(1, (n - 1) // 2 + 1):
-            yield f"n{n}:G({n},{r}):gamma0", g_nr(n, r), 2, n, 2 * r + 1, node_cap
-            yield f"n{n}:Ghat({n},{r}):gamma0", ghat_nr(n, r), 2, n, 2 * r, node_cap
+            yield f"n{n}:G({n},{r}):gamma0", g_nr(n, r), 2, n, 2 * r + 1
+            yield f"n{n}:Ghat({n},{r}):gamma0", ghat_nr(n, r), 2, n, 2 * r
+
+
+def _tasks(scales: dict[str, int], seed: int, samples: int, node_cap: int):
+    """The tasks (g, key, ((suite, params), ...), node_cap) of the suites in
+    `scales`; `_worker` calls each suite's check as (shared, *params). Each
+    nonextremal construction and each K_{2,n} is a task of its suite alone.
+    The graph suites share one task per connected graph on 2 up to their
+    largest scale's vertices, which names each one whose scale reaches the
+    graph's order."""
+    scales = dict(scales)
+    for key, g, s, n, gamma in _constructions(scales.pop("nonextremal", 1)):
+        yield g, key, (("nonextremal", (s, n, gamma)),), node_cap
+    for n in range(2, scales.pop("counterexample", 1) + 1):
+        yield complete_bipartite(2, n), f"K2,{n}", (("counterexample", ()),), node_cap
+    for n in range(2, max(scales.values(), default=1) + 1):
+        suites = tuple((suite, (seed, samples) if suite == "hereditary" else ())
+                       for suite, scale in scales.items() if scale >= n)
+        for cls in _connected_classes(n):
+            yield cls.graph, f"n{n}:{cls.code}", suites, node_cap
 
 
 def _coverage_rows(results: list, n_max: int) -> list:
@@ -485,7 +421,7 @@ def _coverage_rows(results: list, n_max: int) -> list:
     realized: dict[int, set[int]] = {n: set() for n in range(2, n_max + 1)}
     for _suite, key, _checks, certs, _soft in results:
         n = int(key[1:key.index(":")])
-        if certs.get("nu_H", {}).get("value") == n:
+        if certs["nu_H"]["value"] == n:
             realized[n].add(certs["gamma_H"]["value"])
     rows = []
     for n in range(2, n_max + 1):
@@ -499,42 +435,94 @@ def _coverage_rows(results: list, n_max: int) -> list:
     return rows
 
 
+# -- the driver ----------------------------------------------------------------------
+
+def _sweep(scales: dict[str, int], node_cap: int, jobs: int, samples: int = 1,
+           seed: int = 0) -> dict[str, VerificationReport]:
+    """The reports of the suites in `scales`, from one run of their tasks.
+    Check each scale against SUITE_SCALES, run the tasks with
+    lex_witness=False, run those that have a failing row again with
+    lex_witness=True, and tally each suite's rows, sorted by instance key,
+    into its report. `samples` and `seed` go to hereditary alone. Every
+    report carries the wall time of the whole sweep."""
+    configs = {}
+    for suite, scale in scales.items():
+        spec = SUITE_SCALES[suite]
+        if not 2 <= scale <= spec.cap:
+            raise DomainError(f"{suite} suite supports 2 <= {spec.param} <= {spec.cap}")
+        configs[suite] = {spec.param: scale, "node_cap": node_cap}
+    if "hereditary" in configs:
+        configs["hereditary"]["samples_per_graph"] = samples
+    if "extremal-gamma0" in configs:
+        configs["extremal-gamma0"]["nb_candidates"] = len(load_g2nb_candidates())
+    t0 = time.perf_counter()
+    tasks = list(_tasks(scales, seed, samples, node_cap))
+    results = _run_tasks(tasks, functools.partial(_worker, lex_witness=False), jobs)
+    failing = [i for i, rows in enumerate(results) if any(row[2] for row in rows)]
+    retried = _run_tasks([tasks[i] for i in failing],
+                         functools.partial(_worker, lex_witness=True), jobs)
+    for i, rows in zip(failing, retried):
+        results[i] = rows
+    by_suite: dict[str, list] = {suite: [] for suite in scales}
+    for rows in results:
+        for row in rows:
+            by_suite[row[0]].append(row)
+    if "nonextremal" in by_suite:
+        by_suite["nonextremal"] += _coverage_rows(by_suite["nonextremal"],
+                                                  scales["nonextremal"])
+    wall_time = time.perf_counter() - t0
+    reports = {}
+    for suite, rows in by_suite.items():
+        rows.sort(key=lambda r: r[1])
+        reports[suite] = VerificationReport(
+            suite, configs[suite], seed if suite == "hereditary" else None,
+            instances=[r[1] for r in rows],
+            failures=[FailureRecord(key, tuple(checks), certs, soft)
+                      for _suite, key, checks, certs, soft in rows if checks],
+            wall_time=wall_time)
+    return reports
+
+
+# -- the suites ----------------------------------------------------------------------
+
+def verify_hereditary(max_n: int, samples_per_graph: int = 1, seed: int = 0,
+                      node_cap: int = DEFAULT_NODE_CAP, jobs: int = 1) -> VerificationReport:
+    """Check invariant preservation on every connected graph up to max_n
+    vertices, over uniform, mixed, and random dilations plus general Berge
+    hosts."""
+    return _sweep({"hereditary": max_n}, node_cap, jobs, samples_per_graph,
+                  seed)["hereditary"]
+
+
+def crosscheck_extremal_gamma1(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
+                               jobs: int = 1) -> VerificationReport:
+    """gamma = nu exactly on KEG supports; gamma = 2 nu exactly on odd
+    complete supports, verified by direct solves on a gamma1 dilation."""
+    return _sweep({"extremal-gamma1": max_n}, node_cap, jobs)["extremal-gamma1"]
+
+
+def crosscheck_extremal_gamma0(max_n: int, node_cap: int = DEFAULT_NODE_CAP,
+                               jobs: int = 1) -> VerificationReport:
+    """gamma = nu on a gamma0 dilation exactly when the support graph belongs
+    to the union of the three characterization families. Mismatches routed
+    through the behaviorally-derived component condition are soft."""
+    return _sweep({"extremal-gamma0": max_n}, node_cap, jobs)["extremal-gamma0"]
+
+
 def verify_nonextremal(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
                        jobs: int = 1) -> VerificationReport:
     """The constructions realizing each value of gamma strictly between the
     extremes: odd cycles, complete graphs, clique-deleted complete graphs,
     and the amalgamated triangle families; plus a coverage check that every
     target value is realized."""
-    return _run_suites({"nonextremal": (n_max, {"node_cap": node_cap}, None)},
-                       _nonextremal_worker, _nonextremal_tasks(n_max, node_cap), jobs,
-                       extra_rows=lambda rows: _coverage_rows(rows, n_max))["nonextremal"]
-
-
-# -- counterexample suite ------------------------------------------------------------------
-
-def _counterexample_worker(task, lex_witness: bool) -> list[tuple]:
-    n, node_cap = task
-    g = complete_bipartite(2, n)
-    h, _ = generalized_power(g, 4, 2)
-    gamma_h = domination_number(h, node_cap=node_cap, lex_witness=lex_witness)
-    nu_h = matching_number(h, node_cap=node_cap)
-    checks: list[dict] = []
-    _check(checks, "gamma", 2, gamma_h.value)
-    _check(checks, "nu", 2, nu_h.value)
-    _check(checks, "in_g2b", True, in_family_g2b(g).member)
-    _check(checks, "not_in_g2nb", False, in_family_g2nb(g).member)
-    _check(checks, "not_in_g1", False, in_family_g1(g).member)
-    certs = {"gamma_H": gamma_h.to_json(), "nu_H": nu_h.to_json()} if checks else {}
-    return [("counterexample", f"K2,{n}", checks, certs, False)]
+    return _sweep({"nonextremal": n_max}, node_cap, jobs)["nonextremal"]
 
 
 def verify_counterexample(n_max: int, node_cap: int = DEFAULT_NODE_CAP,
-                    jobs: int = 1) -> VerificationReport:
+                          jobs: int = 1) -> VerificationReport:
     """K_{2,n} attains gamma = nu on gamma0 dilations while belonging to the
     bipartite family only, refuting any characterization that omits it."""
-    return _run_suites({"counterexample": (n_max, {"node_cap": node_cap}, None)},
-                       _counterexample_worker, ((n, node_cap) for n in range(2, n_max + 1)),
-                       jobs)["counterexample"]
+    return _sweep({"counterexample": n_max}, node_cap, jobs)["counterexample"]
 
 
 SUITES = {
@@ -555,20 +543,25 @@ def run_suites(names: list[str], max_n: Optional[int] = None, samples: int = 1,
     `samples` and `seed` go to hereditary alone.
 
     The graph suites among the names share one sweep, run where the first of
-    them is named: each graph's hosts and solves are built once for all of
-    them, and each of their reports carries the sweep's wall time."""
+    them is named, and each of their reports carries the sweep's wall time.
+    Nonextremal and counterexample each run through their SUITES entry."""
     scales = {}
     for name in names:
         spec = SUITE_SCALES[name]
         scale = spec.default if max_n is None else max_n
         scales[name] = min(scale, spec.cap) if len(names) > 1 else scale
-    graph_scales = {name: scale for name, scale in scales.items() if name in _GRAPH_CHECKS}
+    # The benchmark's tracer times a suite by wrapping its SUITES entry, and
+    # its traced --jobs 2 summary divides by the time of nonextremal and
+    # counterexample, the only entries that fire here. So those two stay out
+    # of the sweep until the tracer times the sweep itself.
+    swept = {name: scale for name, scale in scales.items()
+             if name not in ("nonextremal", "counterexample")}
     reports: dict[str, VerificationReport] = {}
     for name in names:
         if name in reports:
             continue
-        if name in graph_scales:
-            reports.update(_graph_suites(graph_scales, node_cap, jobs, samples, seed))
+        if name in swept:
+            reports.update(_sweep(swept, node_cap, jobs, samples, seed))
         else:
             reports[name] = SUITES[name](scales[name], node_cap=node_cap, jobs=jobs)
     return [reports[name] for name in names]

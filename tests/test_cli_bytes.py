@@ -129,6 +129,14 @@ CASES = [
      {"text": "8dcaf1beab8fe517", "json": "8dcaf1beab8fe517", "csv": "8dcaf1beab8fe517"}),
     ("berge search --family cycle:7 --hypergraph fano --witness nofile.json",
      {"text": "2526c4d08ee720c0", "json": "2526c4d08ee720c0", "csv": "2526c4d08ee720c0"}),
+    # verify reads --seed and --samples only for hereditary and all, so they
+    # are rejected elsewhere, also at their default values
+    ("verify counterexample --max-n 3 --seed 5",
+     {"text": "e3e3fb2794202ce7", "json": "e3e3fb2794202ce7", "csv": "e3e3fb2794202ce7"}),
+    ("verify nonextremal --max-n 4 --samples 3",
+     {"text": "eb51a466d757686b", "json": "eb51a466d757686b", "csv": "eb51a466d757686b"}),
+    ("verify extremal-gamma0 --max-n 4 --seed 0",
+     {"text": "e3e3fb2794202ce7", "json": "e3e3fb2794202ce7", "csv": "e3e3fb2794202ce7"}),
     # node-cap timeouts: exit 3
     ("invariant --param tau --family complete_minus_clique:4,2 --node-cap 3",
      {"text": "3dc53cd8554ffacf", "json": "3dc53cd8554ffacf", "csv": "3dc53cd8554ffacf"}),

@@ -18,9 +18,8 @@ from dilations.harness import (SUITE_SCALES, SUITES, FailureRecord,
                                crosscheck_extremal_gamma1, verify_counterexample,
                                run_suites, verify_hereditary, verify_nonextremal)
 from dilations.hypergraphs import Hypergraph
-from dilations.families import in_family_g2b, union_family_member
-from dilations.invariants import (DEFAULT_NODE_CAP, KegVerdict, check_certificate,
-                                  domination_number)
+from dilations.families import _gamma1_kind, in_family_g2b, union_family_member
+from dilations.invariants import DEFAULT_NODE_CAP, check_certificate, domination_number
 from importlib import resources
 
 
@@ -166,16 +165,18 @@ def _swap_gamma_classes(h, w):
     return swap.get(cls, cls)
 
 
-def _flip_keg_on_even_nu(keg, tau, nu):
-    """A KEG verdict negated where nu(G) is even."""
-    return KegVerdict(keg != (nu.value % 2 == 0), tau, nu)
+def _flip_equal_on_even_nu(g, tau, nu):
+    """The extremal gamma1 kind with "equal" and "strict" swapped where nu(G)
+    is even."""
+    kind = _gamma1_kind(g, tau, nu)
+    return {"equal": "strict", "strict": "equal"}.get(kind, kind) if nu % 2 == 0 else kind
 
 
-def _raise_gamma_on_even_n(nonextremal_tasks):
-    """nonextremal_tasks with the predicted gamma raised by 1 on even n."""
-    def raised(n_max, node_cap):
-        for key, g, power_s, n, gamma, cap in nonextremal_tasks(n_max, node_cap):
-            yield key, g, power_s, n, gamma + (n % 2 == 0), cap
+def _raise_gamma_on_even_n(constructions):
+    """constructions with the predicted gamma raised by 1 on even n."""
+    def raised(n_max):
+        for key, g, power_s, n, gamma in constructions(n_max):
+            yield key, g, power_s, n, gamma + (n % 2 == 0)
     return raised
 
 
@@ -184,38 +185,33 @@ class TestWitnessRetry:
     # failing task again with them, so its record is what a single run with
     # witness passes gives. Wrong verdicts or predictions are patched in to
     # make some tasks fail; at jobs=1 the patches reach the workers.
-    @pytest.mark.parametrize("suite, worker, tasks, name, fake", [
-        (lambda: verify_hereditary(4, samples_per_graph=1, seed=7), harness._graph_worker,
-         lambda: harness._graph_tasks({"hereditary": 4}, 7, 1, DEFAULT_NODE_CAP),
+    @pytest.mark.parametrize("suite, scales, name, fake", [
+        (lambda: verify_hereditary(4, samples_per_graph=1, seed=7), {"hereditary": 4},
          "classify_dilation", _swap_gamma_classes),
-        (lambda: crosscheck_extremal_gamma1(5), harness._graph_worker,
-         lambda: harness._graph_tasks({"extremal-gamma1": 5}, 0, 1, DEFAULT_NODE_CAP),
-         "KegVerdict", _flip_keg_on_even_nu),
-        (lambda: crosscheck_extremal_gamma0(5), harness._graph_worker,
-         lambda: harness._graph_tasks({"extremal-gamma0": 5}, 0, 1, DEFAULT_NODE_CAP),
+        (lambda: crosscheck_extremal_gamma1(5), {"extremal-gamma1": 5},
+         "_gamma1_kind", _flip_equal_on_even_nu),
+        (lambda: crosscheck_extremal_gamma0(5), {"extremal-gamma0": 5},
          "union_family_member", _flip_on_even_n(union_family_member, "member")),
-        (lambda: verify_nonextremal(4), harness._nonextremal_worker,
-         lambda: harness._nonextremal_tasks(4, DEFAULT_NODE_CAP),
-         "_nonextremal_tasks", _raise_gamma_on_even_n(harness._nonextremal_tasks)),
-        (lambda: verify_counterexample(5), harness._counterexample_worker,
-         lambda: [(n, DEFAULT_NODE_CAP) for n in range(2, 6)],
+        (lambda: verify_nonextremal(4), {"nonextremal": 4},
+         "_constructions", _raise_gamma_on_even_n(harness._constructions)),
+        (lambda: verify_counterexample(5), {"counterexample": 5},
          "in_family_g2b", _flip_on_even_n(in_family_g2b, "member")),
     ], ids=["hereditary", "extremal-gamma1", "extremal-gamma0", "nonextremal",
             "counterexample"])
-    def test_failure_records_carry_lex_witnesses(self, monkeypatch, suite, worker, tasks,
-                                                 name, fake):
+    def test_failure_records_carry_lex_witnesses(self, monkeypatch, suite, scales, name,
+                                                 fake):
         monkeypatch.setattr(harness, name, fake)
-        tasks = list(tasks())
+        tasks = list(harness._tasks(scales, 7, 1, DEFAULT_NODE_CAP))
         report = suite()
         failures = [f for f in report.failures if not f.instance.endswith(":coverage")]
-        with_witnesses = [worker(task, lex_witness=True) for task in tasks]
+        with_witnesses = [harness._worker(task, lex_witness=True) for task in tasks]
         assert failures == sorted((FailureRecord(key, tuple(checks), certs, soft)
                                    for rows in with_witnesses
                                    for _suite, key, checks, certs, soft in rows if checks),
                                   key=lambda f: f.instance)
         assert 0 < len(failures) < len(tasks)
         # the records differ from the first pass's, so the second pass is needed
-        assert any(worker(task, lex_witness=False) != rows
+        assert any(harness._worker(task, lex_witness=False) != rows
                    for task, rows in zip(tasks, with_witnesses) if any(r[2] for r in rows))
 
     @pytest.fixture(scope="class")
@@ -224,7 +220,7 @@ class TestWitnessRetry:
 
     @pytest.mark.parametrize("suite, name, fake", [
         ("hereditary", "classify_dilation", _swap_gamma_classes),
-        ("extremal-gamma1", "KegVerdict", _flip_keg_on_even_nu),
+        ("extremal-gamma1", "_gamma1_kind", _flip_equal_on_even_nu),
         ("extremal-gamma0", "union_family_member",
          _flip_on_even_n(union_family_member, "member")),
     ])
@@ -260,6 +256,23 @@ class TestSharedSweep:
             scale = spec.default if max_n is None else min(max_n, spec.cap)
             assert [report] == reports(report["suite"], "--max-n", str(scale))
 
+    def test_verify_all_runs_two_suites_through_their_entries(self, monkeypatch):
+        # the benchmark times nonextremal and counterexample by wrapping their
+        # SUITES entries, so verify all must call each of them once
+        calls = Counter()
+
+        def counted(name, entry):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return entry(*args, **kwargs)
+            return wrapped
+
+        for name in ("nonextremal", "counterexample"):
+            monkeypatch.setitem(SUITES, name, counted(name, SUITES[name]))
+        reports = run_suites(sorted(SUITES), 5)
+        assert calls == {"nonextremal": 1, "counterexample": 1}
+        assert [r.suite for r in reports] == sorted(SUITES)
+
     def test_shared_solves_run_once_per_graph(self, monkeypatch):
         # solves are counted per graph task and per instance, by content; a
         # sampled host of hereditary may equal G's hypergraph or a power by
@@ -284,17 +297,19 @@ class TestSharedSweep:
             return wrapped
 
         def tracked_worker(task, lex_witness):
-            g, key = task[:2]
+            g, key, suites = task[:3]
+            if suites[0][0] in ("nonextremal", "counterexample"):
+                return worker(task, lex_witness)  # one power each, nothing shared
             needed[key] = [Hypergraph.from_graph(g), generalized_power(g, 4, 1)[0],
                            generalized_power(g, 4, 2)[0]]
             current.append(key)
             try:
-                return graph_worker(task, lex_witness)
+                return worker(task, lex_witness)
             finally:
                 current.pop()
 
-        graph_worker = harness._graph_worker
-        monkeypatch.setattr(harness, "_graph_worker", tracked_worker)
+        worker = harness._worker
+        monkeypatch.setattr(harness, "_worker", tracked_worker)
         for name in ("dilate", "random_dilation", "random_berge"):
             monkeypatch.setattr(harness, name, recorded(getattr(harness, name)))
         for name, parameter in (("domination_number", "gamma"), ("matching_number", "nu"),
