@@ -17,28 +17,32 @@ can only be dominated by itself and is therefore forced into every
 dominating set.
 
 Both covering problems, gamma and tau, go through one minimum set cover
-search, which first drops dominated elements (the classic set-cover
-reduction; Weihe 1998, Fomin, Grandoni & Kratsch 2009): an element whose
-coverer set contains another element's coverer set is covered whenever that
-other element is, and of two elements with equal coverer sets the lower index
-is kept. For tau this drops every hyperedge that contains another hyperedge;
-on a gamma1 dilation of G the reduced gamma instance is vertex cover of G,
-which is how gamma(H) = tau(G) shows in the search. The reduction leaves the
-feasible covers unchanged, and a minimum cover never contains a set that adds
-nothing to the reduced universe, so the value and the lexicographically
-smallest witness are the same as without it.
-
-The search then drops dominated sets: a set whose restriction to the reduced
-universe is empty, or lies inside the restriction of a lower-index set. A
-cover holding such a set stays a cover when the set is swapped for its
-dominator, and the result is smaller, or as small and lexicographically
-smaller, so neither the value nor the smallest witness changes. A dominator
-of higher index would not do: the swap could make the witness larger. A
-dominator covers the dropped set's lowest element, so only that element's
-lower-index coverers are tried. Dropped sets are emptied and cleared from
-the coverer masks, so no search branches on them or takes them. On the
-gamma1 dilation of K12 minus an edge, gamma takes 121 nodes (29,027 without
-this), and tau on corona(C9)^(5,2) 19 (38,247).
+search, whose set-up takes four steps, none of which changes the value, the
+witness or the nodes the search visits:
+1. Drop dominated elements (the classic set-cover reduction; Weihe 1998,
+   Fomin, Grandoni & Kratsch 2009): an element whose coverer set contains
+   another element's is covered whenever that other element is, and of two
+   elements with equal coverer sets the lower index is kept. One pass in
+   index order drops them; it skips each element already dropped, whose
+   dominator drops all that it would. For tau this drops every hyperedge that
+   contains another hyperedge; on a gamma1 dilation of G the reduced gamma
+   instance is vertex cover of G, which is how gamma(H) = tau(G) shows in the
+   search. The feasible covers are unchanged, and a minimum cover never holds
+   a set that adds nothing to the reduced universe.
+2. Take the greedy cover as the first incumbent.
+3. If the packing bound (below) of the whole reduced universe reaches the
+   greedy's size, the search would prune its root, so a value-only solve
+   returns the greedy cover there, in one node.
+4. Drop dominated sets: a set whose restriction to the reduced universe is
+   empty, or lies inside the restriction of a lower-index set. A cover
+   holding such a set stays a cover when the set is swapped for its
+   dominator, and the result is smaller, or as small and lexicographically
+   smaller; a dominator of higher index would not do. The greedy never takes
+   a dropped set, since its dominator gains as much and wins the tie on
+   index, so step 2 may come first. The value search starts with the
+   dropped sets forbidden, and the witness pass reads them as empty. On the
+   gamma1 dilation of K12 minus an edge, gamma takes 121 nodes (29,027
+   without this), and tau on corona(C9)^(5,2) 19 (38,247).
 
 The cover search has one branching rule, the minimum-remaining-values choice
 of Knuth's Algorithm X: branch on the uncovered element with the fewest
@@ -169,40 +173,21 @@ class _Budget:
 
 # -- generic minimum set cover (serves gamma and tau) ------------------------
 
-def _greedy_cover(cover_masks: list[int], universe: int) -> list[int]:
-    chosen = []
-    uncovered = universe
-    while uncovered:
-        best_s, best_gain = -1, 0
-        for s, mask in enumerate(cover_masks):
-            gain = (mask & uncovered).bit_count()
-            if gain > best_gain:
-                best_s, best_gain = s, gain
-        if best_s == -1:  # uncoverable element: caller guarantees this cannot happen
-            raise ValueError("universe not coverable")
-        chosen.append(best_s)
-        uncovered &= ~cover_masks[best_s]
-    return chosen
-
-
 def _reduce_universe(cover_masks: list[int], coverer_masks: list[int],
                      universe: int) -> tuple[int, list[int]]:
-    """Drop dominated elements from `universe`, and give for each element the
-    elements that share a coverer with it (what `_packing_bound` blocks).
+    """Drop dominated elements from `universe`, and give for each kept element
+    the elements that share a coverer with it (what `_packing_bound` blocks).
 
-    The AND of the masks of e's coverers holds the elements whose coverer set
-    contains e's, so they are covered whenever e is: e dominates them, except
-    that of two equal coverer sets the lower index is kept. Domination is
-    then a strict order, so every dropped element has a kept dominator, and
-    a cover of the reduced universe covers the whole of it.
-    """
+    The AND of the masks of e's coverers holds e and the elements it
+    dominates, those whose coverer set contains e's. An element with the
+    coverers of a lower-index one is dropped before the pass reaches it, so
+    the pass needs no tie rule."""
     union_masks = [0] * universe.bit_length()
     dominated = 0
     m = universe
     while m:
         low = m & -m
         e = low.bit_length() - 1
-        m ^= low
         union, common = 0, universe
         c = coverer_masks[e]
         while c:
@@ -212,14 +197,8 @@ def _reduce_universe(cover_masks: list[int], coverer_masks: list[int],
             union |= mask
             common &= mask
         union_masks[e] = union
-        common ^= low
-        ties = common & (low - 1)
-        while ties:
-            bit = ties & -ties
-            ties ^= bit
-            if coverer_masks[bit.bit_length() - 1] == coverer_masks[e]:
-                common ^= bit
-        dominated |= common
+        m &= ~common  # e and what it dominates: the pass skips them
+        dominated |= common ^ low
     return universe & ~dominated, union_masks
 
 
@@ -269,17 +248,28 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
     if universe == 0:
         return ()
     universe, union_masks = _reduce_universe(cover_masks, coverer_masks, universe)
+    # the greedy cover, the first incumbent, takes no set that set dominance drops
+    best_cover = []
+    uncovered = universe
+    while uncovered:
+        best_s, best_gain = -1, 0
+        for s, mask in enumerate(cover_masks):
+            gain = (mask & uncovered).bit_count()
+            if gain > best_gain:
+                best_s, best_gain = s, gain
+        if best_s == -1:  # uncoverable element: caller guarantees this cannot happen
+            raise ValueError("universe not coverable")
+        best_cover.append(best_s)
+        uncovered &= ~cover_masks[best_s]
+    best_value = len(best_cover)
+    if not lex_witness and _packing_bound(union_masks, universe) >= best_value:
+        budget.tick(best_value)  # the root, which the bound prunes
+        return tuple(sorted(best_cover))
     dropped = _dominated_sets(cover_masks, coverer_masks, universe)
-    if dropped:
-        # a dropped set is empty, so no search branches on it or takes it
-        cover_masks = [0 if dropped >> s & 1 else mask for s, mask in enumerate(cover_masks)]
-        coverer_masks = [c & ~dropped for c in coverer_masks]
-    greedy = _greedy_cover(cover_masks, universe)
-    best_value = len(greedy)
-    best_cover = greedy
-    chosen: list[int] = []
     # branching order: fewest coverers first, then lowest index
-    order = sorted(_mask_to_list(universe), key=lambda e: (coverer_masks[e].bit_count(), e))
+    order = [e for _, e in sorted([((coverer_masks[e] & ~dropped).bit_count(), e)
+                                   for e in _mask_to_list(universe)])]
+    chosen: list[int] = []
 
     def descend(covered: int, forbidden: int, depth: int):
         # solution space of this node: covers extending the current choices and
@@ -293,25 +283,34 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
             if depth < best_value:
                 best_value, best_cover = depth, chosen[:]
             return
-        lb = _packing_bound(union_masks, uncovered)
-        if depth + lb >= best_value:
+        if depth + _packing_bound(union_masks, uncovered) >= best_value:
             return
-        e = next(e for e in order if uncovered >> e & 1)
-        usable = sorted(_mask_to_list(coverer_masks[e] & ~forbidden),
-                        key=lambda s: (-(cover_masks[s] & uncovered).bit_count(), s))
+        for e in order:
+            if uncovered >> e & 1:
+                break
+        usable = []
+        c = coverer_masks[e] & ~forbidden
+        while c:
+            bit = c & -c
+            c ^= bit
+            s = bit.bit_length() - 1
+            usable.append((-(cover_masks[s] & uncovered).bit_count(), s))
+        usable.sort()
         seen = 0
-        for s in usable:
+        for _, s in usable:
             chosen.append(s)
             descend(covered | cover_masks[s], forbidden | seen, depth + 1)
             chosen.pop()
             seen |= 1 << s
 
-    descend(0, 0, 0)
+    descend(0, dropped, 0)  # no search branches on a dropped set or takes it
     if not lex_witness:
         return tuple(sorted(best_cover))
 
     # lexicographic reconstruction: first witness of optimal size in subset order
     budget.start_witness()
+    if dropped:
+        cover_masks = [0 if dropped >> s & 1 else mask for s, mask in enumerate(cover_masks)]
     n_sets = len(cover_masks)
     target = best_value
     witness: Optional[tuple[int, ...]] = None
@@ -320,7 +319,7 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
     while m:
         low = m & -m
         m ^= low
-        ends[coverer_masks[low.bit_length() - 1].bit_length() - 1] |= low
+        ends[(coverer_masks[low.bit_length() - 1] & ~dropped).bit_length() - 1] |= low
 
     def lex(start: int, covered: int):
         nonlocal witness

@@ -283,3 +283,22 @@ def greedy_transversal_nu(h):
 
     lex((1 << n_edges) - 1, [])
     return target, witness, value_nodes, nodes - value_nodes
+
+
+def cover_reductions(cover_sets, universe):
+    """Element and set dominance of a set system, from the definitions, pair
+    by pair. cover_sets[s] is the set of elements that set s covers.
+
+    Returns (kept, dropped). An element e of `universe` is dropped when some
+    other element f has coverers(f) a proper subset of coverers(e), or equal
+    coverers and f < e. A set is dropped when its restriction to the kept
+    elements is empty or lies inside the restriction of a lower-index set."""
+    coverers = {e: frozenset(s for s, cs in enumerate(cover_sets) if e in cs)
+                for e in universe}
+    kept = {e for e in universe
+            if not any(coverers[f] < coverers[e] or (coverers[f] == coverers[e] and f < e)
+                       for f in universe)}
+    restricted = [frozenset(cs) & kept for cs in cover_sets]
+    dropped = {s for s, r in enumerate(restricted)
+               if not r or any(r <= restricted[t] for t in range(s))}
+    return kept, dropped

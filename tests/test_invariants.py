@@ -10,11 +10,13 @@ from dilations.graphs import (Graph, complete, complete_minus_clique, corona,
                               cp_vee_cq, cycle, g_nr, ghat_nr, star)
 from dilations.dilation import generalized_power
 from dilations.hypergraphs import Hypergraph, builtin_hypergraph
+from dilations import invariants
 from dilations.invariants import (Certificate, check_certificate,
                                   domination_number, is_keg, matching_number,
                                   transversal_number)
 from dilations.isomorphism import enumerate_connected
-from oracles import brute_gamma, brute_nu, brute_tau, greedy_transversal_nu
+from oracles import (brute_gamma, brute_nu, brute_tau, cover_reductions,
+                     greedy_transversal_nu)
 
 
 @st.composite
@@ -359,7 +361,9 @@ class TestNodeCounts:
         (domination_number, generalized_power(cycle(23), 4, 1)[0], (3, 23)),
         (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 0)),
         (matching_number, generalized_power(complete(12), 4, 1)[0], (1, 0)),
-    ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1", "nu_K12_4_1"])
+        (domination_number, generalized_power(complete_minus_clique(6, 2), 4, 1)[0], (45, 76)),
+    ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1", "nu_K12_4_1",
+            "gamma_K12_minus_edge_4_1"])
     def test_named_instances(self, fn, x, phases):
         cert = fn(x)
         assert _phases(cert) == phases
@@ -368,6 +372,94 @@ class TestNodeCounts:
 
     def test_exhaustive_mode_has_no_witness_phase(self):
         assert domination_number(cycle(5), mode="exhaustive").witness_nodes == 0
+
+
+def _cover_system(h, parameter):
+    """(cover_masks, coverer_masks, universe) of the gamma or tau cover solve."""
+    if parameter == "gamma":
+        nbhd = h.closed_neighborhoods()
+        return nbhd, nbhd, (1 << h.m) - 1
+    return h.incidence(), h.edge_masks, (1 << h.edge_count) - 1
+
+
+def _bits(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+class TestCoverReductions:
+    # The cover solver's element pass and set dominance must give what the
+    # pairwise definitions give, on set systems with twin elements and with
+    # duplicate, nested and empty sets, and on dilations.
+    @staticmethod
+    def _check(cover_masks, coverer_masks, universe):
+        kept, dropped = cover_reductions([_bits(m) for m in cover_masks], _bits(universe))
+        reduced, union_masks = invariants._reduce_universe(cover_masks, coverer_masks, universe)
+        assert _bits(reduced) == kept
+        for e in kept:
+            union = 0
+            for s in _bits(coverer_masks[e]):
+                union |= cover_masks[s]
+            assert union_masks[e] == union
+        assert _bits(invariants._dominated_sets(cover_masks, coverer_masks, reduced)) == dropped
+        return len(_bits(universe)) - len(kept), len(dropped)
+
+    def test_seeded_random_set_systems(self):
+        import random
+        rng = random.Random(1998)
+        drops = [0, 0]
+        for _ in range(2000):
+            n_elements = rng.randint(1, 9)
+            sets = [set(rng.sample(range(n_elements), rng.randint(0, n_elements)))
+                    for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(0, 3)):  # a duplicate, a nested or an empty set
+                c = sorted(rng.choice(sets))
+                sets.append(rng.choice([set(c), set(rng.sample(c, rng.randint(0, len(c)))),
+                                        set(c) | {rng.randrange(n_elements)}, set()]))
+            for e in range(n_elements):  # every element has a coverer
+                if not any(e in cs for cs in sets):
+                    rng.choice(sets).add(e)
+            for _ in range(rng.randint(0, 2)):  # a twin: an element with e's coverers
+                e = rng.randrange(n_elements)
+                for cs in sets:
+                    if e in cs:
+                        cs.add(n_elements)
+                n_elements += 1
+            rng.shuffle(sets)
+            cover_masks = [sum(1 << e for e in cs) for cs in sets]
+            coverer_masks = [sum(1 << s for s, cs in enumerate(sets) if e in cs)
+                             for e in range(n_elements)]
+            for i, d in enumerate(self._check(cover_masks, coverer_masks, (1 << n_elements) - 1)):
+                drops[i] += d
+        assert drops[0] > 0 and drops[1] > 0
+
+    def test_powers_of_small_graphs(self):
+        for n in range(2, 6):
+            for g in enumerate_connected(n):
+                for k, s in ((4, 1), (4, 2)):
+                    h, _ = generalized_power(g, k, s)
+                    for parameter in ("gamma", "tau"):
+                        self._check(*_cover_system(h, parameter))
+
+    def test_set_dominance_only_when_the_root_branches(self, monkeypatch):
+        # a value-only solve whose root the packing bound prunes returns the
+        # greedy cover before set dominance
+        calls = []
+        real = invariants._dominated_sets
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(invariants, "_dominated_sets", counted)
+        solves = branched = 0
+        for n in range(2, 7):
+            for g in enumerate_connected(n):
+                h, _ = generalized_power(g, 4, 2)
+                for fn in (domination_number, transversal_number):
+                    solves += 1
+                    branched += fn(h, lex_witness=False).node_count > 1
+        assert len(calls) == branched
+        assert 0 < branched < solves
 
 
 class TestValueOnly:
