@@ -31,6 +31,25 @@ and it is always the lowest neighborhood mask in its orbit under the base's
 automorphism group (a lower mask in the orbit would give an isomorphic graph
 earlier). Masks that an automorphism of the base maps to a lower mask are
 therefore skipped, which leaves the representatives unchanged.
+
+A candidate G' = B_i + S (base i in code order, the new vertex joined to the
+mask S) is also skipped, before it is canonized, when an earlier base
+provably yields it: some old vertex u leaves a connected G' - u whose
+profile is held only by bases of index below i. The profile is the sorted
+multiset of (degree, sum of neighbour degrees) over the vertices, and a
+table maps each profile to the last base that has it. G' - u is isomorphic
+to exactly one base B_j, and its profile forces j < i. The isomorphism
+carries N(u) to a non-empty mask S' with B_j + S' isomorphic to G', and the
+orbit minimum of S' under the group the generators of B_j generate gives a
+candidate isomorphic to G' from B_j. By induction on j, that candidate was
+canonized or was itself yielded by an earlier base, so the class of G' is
+already in `seen`. A skipped candidate is thus never the first of its class,
+and classes, representatives and generators stay as they were. The proof
+needs only that every generator is an automorphism of its base. The profile
+of G' - u comes from G''s degrees d and neighbour sums s without a rescan:
+deleting u lowers d(v) by one and s(v) by d(u) for each neighbour v of u,
+and lowers s(v) by |N(v) & N(u)| for every v. At n = 8 the skip cuts the
+canonizations from 67,141 to 11,757, for 11,117 classes.
 """
 
 from __future__ import annotations
@@ -232,6 +251,64 @@ def _orbit_minima(k: int, generators: tuple[Perm, ...]) -> list[int]:
     return [m for m in range(1, size) if find(m) == m]
 
 
+def _profile_entries(adj: Rows, scale: int) -> list[int]:
+    """Each vertex's degree d and sum s of its neighbours' degrees, packed as
+    d * scale + s; `scale` must exceed every s. Sorted, they are the profile."""
+    degrees = [row.bit_count() for row in adj]
+    entries = []
+    for d, row in zip(degrees, adj):
+        s = 0
+        while row:
+            low = row & -row
+            s += degrees[low.bit_length() - 1]
+            row ^= low
+        entries.append(d * scale + s)
+    return entries
+
+
+def _deletion_profiles(rows: Rows, base_entries: list[int],
+                       scale: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(u, profile of the graph less u) for each vertex u but the last, last first.
+
+    `rows` is a base graph plus a last vertex joined to the mask rows[-1], and
+    `base_entries` is the base's _profile_entries at the same `scale`, which
+    must exceed (len(rows) - 1) ** 2. The entries are updated, not rescanned:
+    the new vertex raises d(v) by one for v in the mask and s(v) by one per
+    neighbour in the mask, plus the mask's size for v in it; deleting u lowers
+    d(v) and s(v) as in the module docstring. Last first reaches a hit sooner:
+    at n = 8 the enumeration builds 173,885 profiles in this order and
+    194,367 in index order.
+    """
+    last = len(rows) - 1
+    nbhd = rows[last]
+    size = nbhd.bit_count()
+    entries = [x + (row & nbhd).bit_count() + (scale + size if row >> last & 1 else 0)
+               for x, row in zip(base_entries, rows)]
+    entries.append(size * scale
+                   + sum([x // scale for x, row in zip(entries, rows) if row >> last & 1]))
+    for u in range(last - 1, -1, -1):
+        nu = rows[u]
+        shift = scale + entries[u] // scale
+        profile = [x - (row & nu).bit_count() - (shift if row >> u & 1 else 0)
+                   for x, row in zip(entries, rows)]
+        del profile[u]
+        profile.sort()
+        yield u, tuple(profile)
+
+
+def _connected_without(rows: Rows, u: int) -> bool:
+    """True if the graph on `rows` less vertex u is connected."""
+    rest = ((1 << len(rows)) - 1) ^ (1 << u)
+    reached = frontier = rest & -rest
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & rest & ~reached
+        reached |= new
+        frontier |= new
+    return reached == rest
+
+
 def _connected_classes(n: int) -> tuple[_Class, ...]:
     """The classes of connected graphs on n vertices, sorted by code."""
     if n in _connected_cache:
@@ -240,19 +317,28 @@ def _connected_classes(n: int) -> tuple[_Class, ...]:
         result = (_Class(_rows_to_graph6((0,)), Graph(1, [0]), ()),)
     else:
         last = n - 1  # the added vertex
+        scale = n * n  # exceeds every neighbour-degree sum on n vertices
+        bases = _connected_classes(n - 1)
+        base_entries = [_profile_entries(base.graph.adj, scale) for base in bases]
+        # profile -> index of the last base that has it
+        latest = {tuple(sorted(entries)): i for i, entries in enumerate(base_entries)}
         seen: dict[int, _Class] = {}
-        for base in _connected_classes(n - 1):
+        for i, base in enumerate(bases):
             adj = base.graph.adj
             for nbhd in _orbit_minima(last, base.generators):
                 rows = tuple([row | (nbhd >> v & 1) << last
                               for v, row in enumerate(adj)]) + (nbhd,)
-                code, _, generators = _search(rows)
-                key = 0  # the code rows packed into one int, which keeps the dict small
-                for row in code:
-                    key = key << n | row
-                if key not in seen:
-                    seen[key] = _Class(_rows_to_graph6(code), Graph(n, rows),
-                                       tuple(generators))
+                for u, profile in _deletion_profiles(rows, base_entries[i], scale):
+                    if latest.get(profile, i) < i and _connected_without(rows, u):
+                        break  # an earlier base yields this graph
+                else:
+                    code, _, generators = _search(rows)
+                    key = 0  # the code rows packed into one int, which keeps the dict small
+                    for row in code:
+                        key = key << n | row
+                    if key not in seen:
+                        seen[key] = _Class(_rows_to_graph6(code), Graph(n, rows),
+                                           tuple(generators))
         result = tuple(sorted(seen.values(), key=lambda cls: cls.code))
     _connected_cache[n] = result
     return result

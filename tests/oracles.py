@@ -138,6 +138,16 @@ def unpruned_connected_classes(n, canon):
     return [seen[code] for code in sorted(seen)]
 
 
+def profile_without(adj, u=None):
+    """The profile of the graph on adjacency rows `adj` less vertex u (the
+    whole graph when u is None), from scratch: the sorted (degree, sum of
+    neighbour degrees) pairs over the vertices left. The reference for the
+    enumeration's incremental profiles."""
+    rest = [v for v in range(len(adj)) if v != u]
+    nbrs = {v: {w for w in rest if adj[v] >> w & 1} for v in rest}
+    return sorted((len(nbrs[v]), sum(len(nbrs[w]) for w in nbrs[v])) for v in rest)
+
+
 def brute_berge_exists(g, h):
     """Does h host a copy of g? Enumerate all vertex injections; for each,
     assign distinct containing hyperedges to the graph edges by plain DFS."""

@@ -110,6 +110,18 @@ class TestG2NBDerivation:
                             else {"candidate_index": index})
                 assert in_family_g2nb(g).evidence == expected, g.edges()
 
+    def test_min_degree_two_exceptions(self, nb_list):
+        # McCuaig and Shepherd (J. Graph Theory 13, 1989): a connected graph
+        # with minimum degree at least 2 has gamma <= 2n/5 apart from seven
+        # exceptions; up to n = 8 they are C4, one bipartite 7-vertex graph
+        # and the five 7-vertex members of G2NB
+        above = {canonical_form(g) for n in range(3, 9)
+                 for g in enumerate_connected(n, min_degree=2)
+                 if 5 * domination_number(g, lex_witness=False).value > 2 * n}
+        members = {"F@Ue?", "F@pTG", "FHQ[o", "FKCmW", "FK_yw"}
+        assert above == {"C]", "F?NF_"} | members
+        assert above & {canonical_form(g) for g in nb_list} == members
+
     def test_membership_predicate(self):
         assert in_family_g2nb(cycle(5)).member
         assert not in_family_g2nb(cycle(4)).member  # bipartite

@@ -5,12 +5,15 @@ from itertools import permutations, product
 import networkx as nx
 import pytest
 
+from dilations import isomorphism
 from dilations.errors import CapacityError
 from dilations.graphs import Graph, complete, complete_bipartite, cycle
-from dilations.isomorphism import (_connected_classes, _homogeneous, _refine, canonical_form,
-                                   canonical_labeling, enumerate_connected, is_isomorphic)
+from dilations.isomorphism import (_connected_classes, _connected_without, _deletion_profiles,
+                                   _homogeneous, _orbit_minima, _profile_entries, _refine,
+                                   canonical_form, canonical_labeling, enumerate_connected,
+                                   is_isomorphic)
 from oracles import (brute_connected_labeled_count, brute_connected_permutation_count,
-                     full_refine, unpruned_connected_classes)
+                     full_refine, profile_without, unpruned_connected_classes)
 
 
 def random_graph(rng, n, p=0.5):
@@ -125,6 +128,51 @@ class TestRefinement:
         assert outcomes == {True, False}
 
 
+def assert_deletion_profiles(adj, nbhd):
+    """Checks every incremental profile and connectivity verdict of the graph
+    on `adj` plus a vertex joined to `nbhd`, less one old vertex, against the
+    oracle; returns the number of deletions that disconnect a connected
+    graph."""
+    n = len(adj) + 1
+    scale = n * n
+    rows = tuple(row | (nbhd >> v & 1) << (n - 1) for v, row in enumerate(adj)) + (nbhd,)
+    entries = _profile_entries(adj, scale)
+    assert sorted(divmod(x, scale) for x in entries) == profile_without(adj)
+    got = list(_deletion_profiles(rows, entries, scale))
+    assert [u for u, _ in got] == list(range(n - 2, -1, -1))
+    whole = Graph(n, rows)
+    disconnecting = 0
+    for u, profile in got:
+        assert [divmod(x, scale) for x in profile] == profile_without(rows, u)
+        rest = whole.induced_subgraph([v for v in range(n) if v != u]).is_connected()
+        assert _connected_without(rows, u) == rest
+        disconnecting += whole.is_connected() and not rest
+    return disconnecting
+
+
+class TestDeletionProfiles:
+    """The enumeration skips a candidate on the profile of a deletion, so a
+    wrong incremental formula would silently drop classes."""
+
+    def test_every_candidate_to_n7(self):
+        disconnecting = 0
+        for n in range(2, 8):
+            for base in _connected_classes(n - 1):
+                for nbhd in _orbit_minima(n - 1, base.generators):
+                    disconnecting += assert_deletion_profiles(base.graph.adj, nbhd)
+        assert disconnecting > 0
+
+    def test_seeded_random_graphs_to_n9(self):
+        rng = random.Random(19)
+        disconnecting = 0
+        for n in range(2, 10):
+            for _ in range(60):
+                base = random_graph(rng, n - 1, rng.choice([0.2, 0.4, 0.7]))
+                disconnecting += assert_deletion_profiles(base.adj,
+                                                          rng.randrange(1, 1 << (n - 1)))
+        assert disconnecting > 0
+
+
 class TestEnumeration:
     def test_small_counts_hand(self):
         assert len(list(enumerate_connected(1))) == 1
@@ -161,10 +209,30 @@ class TestEnumeration:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "3690d8d348498e7f4fc54e81acbbe5486c7747f573821036688d0ca58471f917"
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_orbit_pruning_keeps_representatives(self, n):
         expected = [g.adj for g in unpruned_connected_classes(n, canonical_form)]
         assert [g.adj for g in enumerate_connected(n)] == expected
+
+    def test_canonizations_per_n(self, monkeypatch):
+        # orbit pruning and the earlier-base skip leave one canonization per
+        # class up to n = 6 and 854 for 853 classes at n = 7 (3,771 without
+        # the skip)
+        counts = {}
+        search = isomorphism._search
+
+        def counted(rows):
+            counts[len(rows)] = counts.get(len(rows), 0) + 1
+            return search(rows)
+        saved = dict(isomorphism._connected_cache)
+        isomorphism._connected_cache.clear()
+        monkeypatch.setattr(isomorphism, "_search", counted)
+        try:
+            _connected_classes(7)
+        finally:
+            isomorphism._connected_cache.clear()
+            isomorphism._connected_cache.update(saved)
+        assert counts == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 854}
 
     def test_generators_are_automorphisms(self):
         for n in range(1, 8):
