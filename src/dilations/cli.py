@@ -87,7 +87,7 @@ def _int_at_least(low: int):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    return tuple(int(p) for p in text.split(","))
 
 
 def _build_spec(args, g: Graph) -> DilationSpec:

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 from .dilation import DilationClass
 from .errors import CapacityError, DomainError
-from .graphs import Graph, StructureProfile, structure_profile
+from .graphs import (Graph, StructureProfile, _mask, _mask_to_list, _reach,
+                     structure_profile)
 from .invariants import (Certificate, domination_number, is_keg,
                          matching_number, transversal_number)
 from .isomorphism import canonical_form, enumerate_connected
@@ -183,20 +184,20 @@ def _in_family_g1(g: Graph, prof: StructureProfile) -> FamilyVerdict:
                              {"not_applicable": f"minimum degree {prof.min_degree} != 1"})
     if g.n == 2:
         return FamilyVerdict("G1", True, {"case": "K2"})
-    removed = set(prof.leaves) | set(prof.stems)
-    rest = [v for v in range(g.n) if v not in removed]
+    rest = ((1 << g.n) - 1) & ~_mask(prof.leaves + prof.stems)
     if not rest:  # every vertex a leaf or a stem: a generalized corona
         return FamilyVerdict("G1", True, {"case": "generalized_corona",
                                           "stems": list(prof.stems)})
     stem_neighbor_mask = 0
     for s in prof.stems:
         stem_neighbor_mask |= g.adj[s]
-    rest_graph = g.induced_subgraph(rest)
     component_reports = []
     used_condition_iii = False
-    for comp in rest_graph.components():
-        original = [rest[v] for v in comp]
-        sub = rest_graph.induced_subgraph(comp)
+    while rest:  # the leftover components, by minimum vertex
+        comp = _reach(g.adj, rest & -rest, rest)
+        rest ^= comp
+        original = _mask_to_list(comp)
+        sub = g.induced_subgraph(original)
         u_set = frozenset(i for i, v in enumerate(original)
                           if stem_neighbor_mask >> v & 1)
         verdict, report = _component_condition(sub, u_set)
@@ -275,11 +276,16 @@ def union_family_member(g: Graph) -> FamilyVerdict:
 
 def predict_gamma(g: Graph, cls: DilationClass | str) -> int:
     """Predicted domination number of any dilation of g in the given class:
-    gamma(g) for gamma0, tau(g) for gamma1."""
-    if g.edge_count == 0:
-        raise DomainError("prediction requires a graph with at least one edge")
+    gamma(g) for gamma0, tau(g) for gamma1. g must have no isolated vertex:
+    its copy block lies in no hyperedge, so gamma of the dilation depends on
+    that block's size, which g does not give."""
+    if min(g.degrees(), default=0) == 0:
+        raise DomainError("prediction requires a graph without isolated vertices")
     if isinstance(cls, str):
-        cls = DilationClass(cls.lower())
+        try:
+            cls = DilationClass(cls.lower())
+        except ValueError:
+            raise DomainError(f"unknown dilation class {cls!r}") from None
     if cls is DilationClass.GAMMA0:
         return domination_number(g, lex_witness=False).value
     if cls is DilationClass.GAMMA1:

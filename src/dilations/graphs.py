@@ -96,16 +96,7 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Relabel: vertex v of self becomes perm[v] in the result."""
-        rows = [0] * self.n
-        for v in range(self.n):
-            m = self.adj[v]
-            new = 0
-            while m:
-                low = m & -m
-                new |= 1 << perm[low.bit_length() - 1]
-                m ^= low
-            rows[perm[v]] = new
-        return Graph(self.n, rows)
+        return Graph(self.n, _relabel_rows(self.adj, perm))
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph on the given vertices, relabeled 0..k-1 in the given order."""
@@ -122,28 +113,17 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by minimum vertex."""
-        seen = 0
         comps = []
-        for s in range(self.n):
-            if seen >> s & 1:
-                continue
-            comp = 1 << s
-            frontier = comp
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    low = m & -m
-                    nxt |= self.adj[low.bit_length() - 1]
-                    m ^= low
-                frontier = nxt & ~comp
-                comp |= nxt
-            seen |= comp
+        left = (1 << self.n) - 1
+        while left:
+            comp = _reach(self.adj, left & -left, left)
+            left ^= comp
             comps.append(_mask_to_list(comp))
         return comps
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        full = (1 << self.n) - 1
+        return self.n <= 1 or _reach(self.adj, 1, full) == full
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -168,6 +148,33 @@ def _mask_to_list(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def _reach(rows: Sequence[int], seed: int, within: int) -> int:
+    """The vertices of the mask `within` that paths inside `within` reach from
+    the mask `seed`, on the graph with adjacency rows `rows`. `seed` must lie
+    inside `within`."""
+    reached = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & within & ~reached
+        reached |= new
+        frontier |= new
+    return reached
+
+
+def _relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> list[int]:
+    """The adjacency rows `rows` with vertex v renamed perm[v]."""
+    out = [0] * len(rows)
+    for v, m in enumerate(rows):
+        new = 0
+        while m:
+            low = m & -m
+            new |= 1 << perm[low.bit_length() - 1]
+            m ^= low
+        out[perm[v]] = new
     return out
 
 
@@ -485,7 +492,7 @@ _FAMILIES = {
 def parse_family(text: str) -> FamilySpec:
     """Parse the mini-grammar ``name:arg1,arg2`` with nesting for corona."""
     s = text.strip()
-    name, _, rest = s.partition(":")
+    name, colon, rest = s.partition(":")
     name = name.strip()
     if name == "corona":
         if not rest:
@@ -495,10 +502,10 @@ def parse_family(text: str) -> FamilySpec:
         raise ParseError(f"unknown family {name!r}")
     arity = _FAMILIES[name][1]
     if arity == 0:
-        if rest:
+        if colon:
             raise ParseError(f"family {name!r} takes no parameters")
         return FamilySpec(name)
-    parts = [p for p in rest.split(",") if p.strip()] if rest else []
+    parts = rest.split(",") if rest else []
     if len(parts) != arity:
         raise ParseError(f"family {name!r} takes {arity} parameter(s), got {len(parts)}")
     try:
@@ -540,9 +547,7 @@ def structure_profile(g: Graph) -> StructureProfile:
     degs = g.degrees()
     bipartition = _two_coloring(g)
     leaves = tuple(v for v in range(g.n) if degs[v] == 1)
-    leaf_mask = 0
-    for v in leaves:
-        leaf_mask |= 1 << v
+    leaf_mask = _mask(leaves)
     stems = tuple(v for v in range(g.n) if g.adj[v] & leaf_mask)
     return StructureProfile(
         degrees=degs,
@@ -563,9 +568,11 @@ def _two_coloring(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]
     (ties keep vertex 0 in V1).
     """
     color = [-1] * g.n
+    roots = 0
     for s in range(g.n):
         if color[s] != -1:
             continue
+        roots += 1
         color[s] = 0
         stack = [s]
         while stack:
@@ -578,6 +585,6 @@ def _two_coloring(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]
                     return None
     side0 = tuple(v for v in range(g.n) if color[v] == 0)
     side1 = tuple(v for v in range(g.n) if color[v] == 1)
-    if g.is_connected() and len(side0) > len(side1):
+    if roots == 1 and len(side0) > len(side1):
         side0, side1 = side1, side0
     return (side0, side1)

@@ -56,7 +56,6 @@ import functools
 import io
 import json
 import os
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -96,9 +95,6 @@ class VerificationReport:
     seed: Optional[int]
     instances: list[str] = field(default_factory=list)  # instance keys, sorted
     failures: list[FailureRecord] = field(default_factory=list)
-    # informational, excluded from serialized forms: the time of the sweep
-    # that made the report, shared by the graph suites of one `verify all`
-    wall_time: float = 0.0
 
     @property
     def instance_count(self) -> int:
@@ -443,8 +439,7 @@ def _sweep(scales: dict[str, int], node_cap: int, jobs: int, samples: int = 1,
     Check each scale against SUITE_SCALES, run the tasks with
     lex_witness=False, run those that have a failing row again with
     lex_witness=True, and tally each suite's rows, sorted by instance key,
-    into its report. `samples` and `seed` go to hereditary alone. Every
-    report carries the wall time of the whole sweep."""
+    into its report. `samples` and `seed` go to hereditary alone."""
     configs = {}
     for suite, scale in scales.items():
         spec = SUITE_SCALES[suite]
@@ -455,7 +450,6 @@ def _sweep(scales: dict[str, int], node_cap: int, jobs: int, samples: int = 1,
         configs["hereditary"]["samples_per_graph"] = samples
     if "extremal-gamma0" in configs:
         configs["extremal-gamma0"]["nb_candidates"] = len(load_g2nb_candidates())
-    t0 = time.perf_counter()
     tasks = list(_tasks(scales, seed, samples, node_cap))
     results = _run_tasks(tasks, functools.partial(_worker, lex_witness=False), jobs)
     failing = [i for i, rows in enumerate(results) if any(row[2] for row in rows)]
@@ -470,7 +464,6 @@ def _sweep(scales: dict[str, int], node_cap: int, jobs: int, samples: int = 1,
     if "nonextremal" in by_suite:
         by_suite["nonextremal"] += _coverage_rows(by_suite["nonextremal"],
                                                   scales["nonextremal"])
-    wall_time = time.perf_counter() - t0
     reports = {}
     for suite, rows in by_suite.items():
         rows.sort(key=lambda r: r[1])
@@ -478,8 +471,7 @@ def _sweep(scales: dict[str, int], node_cap: int, jobs: int, samples: int = 1,
             suite, configs[suite], seed if suite == "hereditary" else None,
             instances=[r[1] for r in rows],
             failures=[FailureRecord(key, tuple(checks), certs, soft)
-                      for _suite, key, checks, certs, soft in rows if checks],
-            wall_time=wall_time)
+                      for _suite, key, checks, certs, soft in rows if checks])
     return reports
 
 
@@ -543,8 +535,8 @@ def run_suites(names: list[str], max_n: Optional[int] = None, samples: int = 1,
     `samples` and `seed` go to hereditary alone.
 
     The graph suites among the names share one sweep, run where the first of
-    them is named, and each of their reports carries the sweep's wall time.
-    Nonextremal and counterexample each run through their SUITES entry."""
+    them is named. Nonextremal and counterexample each run through their
+    SUITES entry."""
     scales = {}
     for name in names:
         spec = SUITE_SCALES[name]

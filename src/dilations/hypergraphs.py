@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .graphs import Graph, _mask, _mask_to_list
+from .graphs import Graph, _mask, _mask_to_list, _reach
 
 
 class Hypergraph:
@@ -55,10 +55,10 @@ class Hypergraph:
         return max((e.bit_count() for e in self.edge_masks), default=0)
 
     def edge_vertices(self, i: int) -> list[int]:
-        return _mask_to_list(self.edge_masks[i])
+        return list(self.vertex_lists()[i])
 
     def edge_sets(self) -> list[list[int]]:
-        return [_mask_to_list(e) for e in self.edge_masks]
+        return [list(verts) for verts in self.vertex_lists()]
 
     def is_uniform(self, k: int) -> bool:
         return all(e.bit_count() == k for e in self.edge_masks)
@@ -96,18 +96,8 @@ class Hypergraph:
 
     def is_connected(self) -> bool:
         """Connectivity of the co-occurrence structure; isolated vertices disconnect."""
-        if self.m <= 1:
-            return True
-        comp = 1
-        while True:
-            grown = comp
-            for e in self.edge_masks:
-                if e & grown:
-                    grown |= e
-            if grown == comp:
-                break
-            comp = grown
-        return comp == (1 << self.m) - 1
+        full = (1 << self.m) - 1
+        return self.m <= 1 or _reach(self.closed_neighborhoods(), 1, full) == full
 
     def __eq__(self, other):
         return (isinstance(other, Hypergraph) and self.m == other.m

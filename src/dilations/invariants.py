@@ -573,11 +573,9 @@ class KegVerdict:
         return {"keg": self.keg, "tau": self.tau.to_json(), "nu": self.nu.to_json()}
 
 
-def is_keg(g: Graph, node_cap: int = DEFAULT_NODE_CAP, *,
-           lex_witness: bool = True) -> KegVerdict:
-    """König-Egerváry test: transversal number equals matching number;
-    lex_witness goes to the tau solve."""
+def is_keg(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> KegVerdict:
+    """König-Egerváry test: transversal number equals matching number."""
     h = Hypergraph.from_graph(g)
-    tau = transversal_number(h, node_cap=node_cap, lex_witness=lex_witness)
+    tau = transversal_number(h, node_cap=node_cap)
     nu = matching_number(h, node_cap=node_cap)
     return KegVerdict(tau.value == nu.value, tau, nu)

@@ -58,7 +58,8 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import CapacityError
-from .graphs import Graph, _mask, _rows_to_graph6, _two_coloring
+from .graphs import (Graph, _mask, _reach, _relabel_rows, _rows_to_graph6,
+                     _two_coloring)
 
 ENUM_MAX_N = 9
 
@@ -83,16 +84,7 @@ def _search(adj: Rows) -> tuple[Rows, list[int], list[Perm]]:
         pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
-        rows = [0] * n
-        for v in range(n):
-            m = adj[v]
-            acc = 0
-            while m:
-                low = m & -m
-                acc |= 1 << pos[low.bit_length() - 1]
-                m ^= low
-            rows[pos[v]] = acc
-        code = tuple(rows)
+        code = tuple(_relabel_rows(adj, pos))
         if best_code is None or code < best_code:
             best_code, best_order = code, order
         elif code == best_code:
@@ -299,14 +291,7 @@ def _deletion_profiles(rows: Rows, base_entries: list[int],
 def _connected_without(rows: Rows, u: int) -> bool:
     """True if the graph on `rows` less vertex u is connected."""
     rest = ((1 << len(rows)) - 1) ^ (1 << u)
-    reached = frontier = rest & -rest
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = rows[low.bit_length() - 1] & rest & ~reached
-        reached |= new
-        frontier |= new
-    return reached == rest
+    return _reach(rows, rest & -rest, rest) == rest
 
 
 def _connected_classes(n: int) -> tuple[_Class, ...]:

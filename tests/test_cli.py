@@ -310,6 +310,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "timeout" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "cycle:5,"),
+        ("gen", "--family", "cycle:,5"),
+        ("gen", "--family", "complete_bipartite:2,,3"),
+        ("gen", "--family", "t1:"),
+        ("dilate", "--family", "cycle:3", "--k", "3", "--s", "1,,1,1", "--a-uniform", "1"),
+    ])
+    def test_empty_list_entry_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
     @pytest.mark.parametrize("max_n", ["2", "-2"])
     def test_derive_nb_scale_below_three_is_usage_error(self, capsys, max_n):
         code, out, err = run_cli(capsys, "derive-nb", "--max-n", max_n)

@@ -1,7 +1,7 @@
 import pytest
 
 from dilations import families
-from dilations.dilation import DilationClass, random_dilation
+from dilations.dilation import DilationClass, generalized_power, random_dilation
 from dilations.errors import CapacityError, DomainError
 from dilations.families import (derive_g2nb_candidates, extremal_class_gamma1,
                                 in_family_g1, in_family_g2b, in_family_g2nb,
@@ -228,20 +228,39 @@ class TestPredictGamma:
         with pytest.raises(DomainError):
             predict_gamma(Graph.from_edges(2, []), DilationClass.GAMMA0)
 
+    def test_unknown_class(self):
+        with pytest.raises(DomainError):
+            predict_gamma(cycle(5), "gamma2")
+
     def test_agrees_with_solved_dilations(self):
         import warnings
         from dilations.dilation import RankDeficitWarning
+        graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+        # disconnected, but every copy block lies in a hyperedge
+        graphs += [Graph.from_edges(4, [(0, 1), (2, 3)]),  # 2 K2
+                   Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),  # P3 + K2
+                   Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])]  # K3 + P3
         cases = 0
-        for n in range(2, 6):
-            for i, g in enumerate(enumerate_connected(n)):
-                for cls in ("gamma0", "gamma1"):
-                    for seed in (i, i + 1000):
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore", RankDeficitWarning)
-                            h, _ = random_dilation(g, 5, seed=seed, cls=cls)
-                        assert predict_gamma(g, cls) == domination_number(h).value
-                        cases += 1
+        for i, g in enumerate(graphs):
+            for cls in ("gamma0", "gamma1"):
+                for seed in (i, i + 1000):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RankDeficitWarning)
+                        h, _ = random_dilation(g, 5, seed=seed, cls=cls)
+                    assert predict_gamma(g, cls) == domination_number(h).value
+                    cases += 1
         assert cases >= 100
+        # An isolated vertex's copy block lies in no hyperedge, so gamma of a
+        # dilation grows with that block: two gamma1 powers of K2 + K1 differ.
+        k2_k1 = Graph.from_edges(3, [(0, 1)])
+        assert [domination_number(generalized_power(k2_k1, k, s)[0]).value
+                for k, s in ((4, 1), (6, 2))] == [2, 3]
+        for g in (k2_k1,
+                  Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]),  # P4 + K1
+                  Graph.from_edges(5, [(1, 2), (1, 3), (1, 4)])):  # K1 + K1,3
+            for cls in ("gamma0", "gamma1"):
+                with pytest.raises(DomainError):
+                    predict_gamma(g, cls)
 
 
 class TestExtremalGamma1:

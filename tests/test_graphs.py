@@ -237,12 +237,11 @@ class TestGenerators:
         assert generate(nested) == corona(cycle(3))
         assert str(nested) == "corona:cycle:3"
         assert generate(parse_family("t2")) == t2()
-        with pytest.raises(ParseError):
-            parse_family("cycle:3,4")
-        with pytest.raises(ParseError):
-            parse_family("hedgehog:3")
-        with pytest.raises(ParseError):
-            parse_family("cycle:x")
+        for text in ("cycle:3,4", "hedgehog:3", "cycle:x",
+                     # an empty entry is an error, not a skipped one
+                     "cycle:5,", "cycle:,5", "complete_bipartite:2,,3", "t1:"):
+            with pytest.raises(ParseError):
+                parse_family(text)
 
     def test_family_spec_str_round_trip(self):
         for text in ["cycle:7", "g_nr:5,2", "corona:path:3", "t1",
@@ -297,3 +296,60 @@ class TestStructureProfile:
         prof = structure_profile(star(3))
         assert prof.degree_sequence == (3, 1, 1, 1)
         assert prof.max_degree == 3 and prof.min_degree == 1
+
+
+def _labelled_graphs():
+    """Every labelled graph on 1 to 5 vertices."""
+    for n in range(1, 6):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for bits in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+
+
+def _random_graphs():
+    """Seeded random graphs on up to 20 vertices; the sparse ones are mostly
+    disconnected and many have isolated vertices."""
+    rng = random.Random(20)
+    for _ in range(300):
+        yield random_graph(rng, rng.randint(1, 20), rng.choice([0.05, 0.1, 0.2, 0.4]))
+
+
+class TestWalksAgainstNetworkx:
+    """The shared reachability walk and relabelling loop, through every public
+    method that uses them, on all labelled graphs up to 5 vertices and on
+    seeded random graphs up to 20."""
+
+    @staticmethod
+    def _nx(g):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges())
+        return nxg
+
+    @pytest.mark.parametrize("graphs", [_labelled_graphs, _random_graphs])
+    def test_walks(self, graphs):
+        rng = random.Random(5)
+        kinds = set()
+        for g in graphs():
+            nxg = self._nx(g)
+            comps = sorted(sorted(c) for c in nx.connected_components(nxg))
+            assert g.components() == comps
+            assert g.is_connected() == nx.is_connected(nxg)
+            kinds.add((len(comps) > 1, 0 in g.degrees()))
+
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabelled = nx.relabel_nodes(nxg, dict(enumerate(perm)))
+            assert g.relabel(perm).edges() == sorted(
+                (min(e), max(e)) for e in relabelled.edges())
+
+            bipartition = structure_profile(g).bipartition
+            assert (bipartition is not None) == nx.is_bipartite(nxg)
+            if bipartition is not None:
+                v1, v2 = bipartition
+                assert sorted(v1 + v2) == list(range(g.n))
+                assert all((u in v1) != (v in v1) for u, v in g.edges())
+                if g.is_connected():
+                    assert len(v1) <= len(v2)
+        # connected, disconnected, and disconnected with an isolated vertex
+        assert {(False, False), (True, False), (True, True)} <= kinds

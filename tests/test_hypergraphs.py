@@ -1,6 +1,8 @@
 import pickle
+import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from dilations.errors import DomainError, ParseError
@@ -107,3 +109,23 @@ class TestFano:
     def test_unknown_builtin(self):
         with pytest.raises(DomainError):
             builtin_hypergraph("petersen")
+
+
+def test_is_connected_matches_cooccurrence_graph():
+    """Hypergraph.is_connected against networkx on the co-occurrence graph,
+    on seeded random hypergraphs, many of them with isolated vertices."""
+    rng = random.Random(11)
+    isolated = connected = 0
+    for _ in range(300):
+        m = rng.randint(1, 20)
+        edges = [rng.sample(range(m), rng.randint(1, min(m, 4)))
+                 for _ in range(rng.randint(0, m))]
+        h = Hypergraph.from_edge_sets(m, edges)
+        cooccurrence = nx.Graph()
+        cooccurrence.add_nodes_from(range(m))
+        for edge in edges:
+            cooccurrence.add_edges_from(combinations(edge, 2))
+        assert h.is_connected() == nx.is_connected(cooccurrence)
+        isolated += any(h.degree(v) == 0 for v in range(m))
+        connected += h.is_connected()
+    assert isolated >= 50 and connected >= 20

@@ -485,11 +485,6 @@ class TestValueOnly:
             assert fn(cycle(7), mode="exhaustive", lex_witness=False) == fn(
                 cycle(7), mode="exhaustive")
 
-    def test_keg_passes_flag_to_tau(self):
-        v = is_keg(cp_vee_cq(4, 3), lex_witness=False)
-        assert v.tau == transversal_number(cp_vee_cq(4, 3), lex_witness=False)
-        assert v.nu == matching_number(cp_vee_cq(4, 3))
-
 
 class TestNuCountingBound:
     # The counting bound only adds pruning to the greedy transversal, so the
