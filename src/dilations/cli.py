@@ -86,21 +86,30 @@ def _int_at_least(low: int):
     return parse
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+def _int_list(text: str, option: str) -> tuple[int, ...]:
+    """The comma-separated integers given to `option`; a usage error names
+    the option and the first bad entry."""
+    values = []
+    for i, entry in enumerate(text.split(","), start=1):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            what = "is empty" if not entry.strip() else f"is not an integer: {entry!r}"
+            raise SystemExit2(f"{option}: entry {i} of {text!r} {what}") from None
+    return tuple(values)
 
 
 def _build_spec(args, g: Graph) -> DilationSpec:
     if args.s_uniform is not None:
         s = (args.s_uniform,) * g.n
     elif args.s is not None:
-        s = _int_list(args.s)
+        s = _int_list(args.s, "--s")
     else:
         raise SystemExit2("provide --s or --s-uniform")
     if args.a_uniform is not None:
         a = (args.a_uniform,) * g.edge_count
     elif args.a is not None:
-        a = _int_list(args.a)
+        a = _int_list(args.a, "--a")
     else:
         raise SystemExit2("provide --a or --a-uniform")
     return DilationSpec(args.k, s, a)

@@ -42,6 +42,14 @@ its suite alone. `verify all` runs the graph suites in one sweep, and
 nonextremal and counterexample each in a sweep of its own through their
 SUITES entries, since the benchmark times those two by wrapping the entries.
 
+The outermost harness call, `run_suites` or a suite function called on its
+own, owns one process pool for all of its sweeps. The first sweep with two
+or more tasks to run in parallel starts it, a later one that can use more
+workers replaces it with a larger one, and the owner shuts it down before it
+returns or raises. So `verify all --jobs 2` starts one pool, and a serial
+run never imports the pool machinery (`concurrent.futures`,
+`multiprocessing`).
+
 The driver's first pass solves gamma and tau without the lexicographic
 witness pass, since a passing row reads only values (the nonextremal
 coverage rows too). It then runs the tasks that have a failing row again
@@ -51,13 +59,14 @@ run with witness passes would.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -194,17 +203,69 @@ def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
     suites build rank-deficient dilations on purpose. The filter is scoped
     to the run, so the caller's warning settings are left as they were.
 
-    A pool gets the tasks in chunks of about a sixteenth of each worker's
-    share, which saves a round trip per task yet keeps a few slow tasks of
-    a short list in separate chunks."""
+    In parallel the tasks go to the pool of the enclosing `_pool_scope`, in
+    chunks of about a sixteenth of each worker's share, which saves a round
+    trip per task yet keeps a few slow tasks of a short list in separate
+    chunks."""
     jobs = _worker_count(jobs, len(tasks))
     if jobs <= 1:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficitWarning)
             return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=warnings.simplefilter,
-                             initargs=("ignore", RankDeficitWarning)) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (16 * jobs))))
+    with _pool_scope() as pool:
+        return list(pool.executor(jobs).map(
+            worker, tasks, chunksize=max(1, len(tasks) // (16 * jobs))))
+
+
+class _Pool:
+    """The process pool of one outermost harness call, started on first use.
+    Its workers ignore RankDeficitWarning, as a serial run does."""
+
+    def __init__(self):
+        self._executor = None
+        self._workers = 0
+
+    def executor(self, workers: int):
+        """The running pool, first started or replaced by one of `workers`
+        workers if it has fewer."""
+        if self._workers < workers:
+            self.shutdown()
+            # imported here, so that a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers, initializer=warnings.simplefilter,
+                initargs=("ignore", RankDeficitWarning))
+            self._workers = workers
+        return self._executor
+
+    def shutdown(self) -> None:
+        """Stop the workers, dropping tasks not yet started, and wait for them."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor, self._workers = None, 0
+
+
+# The pool of the innermost enclosing `_pool_scope`, per thread. `_run_tasks`
+# keeps its (tasks, worker, jobs) signature, which the benchmark's tracer
+# wraps, so the pool reaches it here rather than as an argument.
+_current_pool: ContextVar[Optional[_Pool]] = ContextVar("_current_pool", default=None)
+
+
+@contextlib.contextmanager
+def _pool_scope():
+    """The pool of the enclosing scope; the outermost scope makes it and
+    shuts it down when it exits, by return or by exception."""
+    pool = _current_pool.get()
+    if pool is not None:
+        yield pool
+        return
+    pool = _Pool()
+    token = _current_pool.set(pool)
+    try:
+        yield pool
+    finally:
+        _current_pool.reset(token)
+        pool.shutdown()
 
 
 def _check(checks: list, name: str, expected, got):
@@ -451,10 +512,11 @@ def _sweep(scales: dict[str, int], node_cap: int, jobs: int, samples: int = 1,
     if "extremal-gamma0" in configs:
         configs["extremal-gamma0"]["nb_candidates"] = len(load_g2nb_candidates())
     tasks = list(_tasks(scales, seed, samples, node_cap))
-    results = _run_tasks(tasks, functools.partial(_worker, lex_witness=False), jobs)
-    failing = [i for i, rows in enumerate(results) if any(row[2] for row in rows)]
-    retried = _run_tasks([tasks[i] for i in failing],
-                         functools.partial(_worker, lex_witness=True), jobs)
+    with _pool_scope():
+        results = _run_tasks(tasks, functools.partial(_worker, lex_witness=False), jobs)
+        failing = [i for i, rows in enumerate(results) if any(row[2] for row in rows)]
+        retried = _run_tasks([tasks[i] for i in failing],
+                             functools.partial(_worker, lex_witness=True), jobs)
     for i, rows in zip(failing, retried):
         results[i] = rows
     by_suite: dict[str, list] = {suite: [] for suite in scales}
@@ -536,7 +598,9 @@ def run_suites(names: list[str], max_n: Optional[int] = None, samples: int = 1,
 
     The graph suites among the names share one sweep, run where the first of
     them is named. Nonextremal and counterexample each run through their
-    SUITES entry."""
+    SUITES entry. All the sweeps share one process pool, started by the
+    first that runs in parallel and shut down before this returns or
+    raises; a serial run loads no pool machinery."""
     scales = {}
     for name in names:
         spec = SUITE_SCALES[name]
@@ -549,11 +613,12 @@ def run_suites(names: list[str], max_n: Optional[int] = None, samples: int = 1,
     swept = {name: scale for name, scale in scales.items()
              if name not in ("nonextremal", "counterexample")}
     reports: dict[str, VerificationReport] = {}
-    for name in names:
-        if name in reports:
-            continue
-        if name in swept:
-            reports.update(_sweep(swept, node_cap, jobs, samples, seed))
-        else:
-            reports[name] = SUITES[name](scales[name], node_cap=node_cap, jobs=jobs)
+    with _pool_scope():
+        for name in names:
+            if name in reports:
+                continue
+            if name in swept:
+                reports.update(_sweep(swept, node_cap, jobs, samples, seed))
+            else:
+                reports[name] = SUITES[name](scales[name], node_cap=node_cap, jobs=jobs)
     return [reports[name] for name in names]

@@ -321,6 +321,20 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ")
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--s", "1,x,1", "--s: entry 2 of '1,x,1' is not an integer: 'x'"),
+        ("--s", "1,,1", "--s: entry 2 of '1,,1' is empty"),
+        ("--s", "", "--s: entry 1 of '' is empty"),
+        ("--a", "1,2,", "--a: entry 3 of '1,2,' is empty"),
+        ("--a", "1.5,1,1", "--a: entry 1 of '1.5,1,1' is not an integer: '1.5'"),
+    ])
+    def test_bad_block_size_entry_names_option_and_entry(self, capsys, option, value,
+                                                         message):
+        uniform = "--a-uniform" if option == "--s" else "--s-uniform"
+        code, out, err = run_cli(capsys, "dilate", "--family", "cycle:3", "--k", "3",
+                                 option, value, uniform, "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("max_n", ["2", "-2"])
     def test_derive_nb_scale_below_three_is_usage_error(self, capsys, max_n):
         code, out, err = run_cli(capsys, "derive-nb", "--max-n", max_n)

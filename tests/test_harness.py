@@ -1,16 +1,24 @@
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import dilations
 from dilations import harness
 from dilations.cli import main
 from dilations.dilation import (DilationClass, DilationSpec, RankDeficitWarning,
                                 classify_dilation, dilate, generalized_power)
-from dilations.errors import DomainError
+from dilations.errors import DomainError, SearchBudgetExceeded
 from dilations.graphs import cycle
 from dilations.harness import (SUITE_SCALES, SUITES, FailureRecord,
                                VerificationReport,
@@ -324,3 +332,80 @@ class TestSharedSweep:
             for content, count in per_content.items():
                 for parameter in ("gamma", "nu", "tau"):
                     assert calls[(key, parameter, *content)] == count, (key, parameter)
+
+
+class TestProcessPool:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The pools started from here on, with 4 CPUs faked so that jobs >= 2
+        starts one on any machine."""
+        pools = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        return pools
+
+    def test_verify_all_starts_one_pool(self, started):
+        names = sorted(SUITES)
+        parallel = run_suites(names, 5, jobs=2)
+        assert [p._max_workers for p in started] == [2]
+        assert multiprocessing.active_children() == []
+        serial = run_suites(names, 5)
+        assert len(started) == 1
+        assert [r.to_json_dict() for r in parallel] == [r.to_json_dict() for r in serial]
+
+    def test_pool_shut_down_when_a_sweep_raises(self, started):
+        with pytest.raises(SearchBudgetExceeded):
+            run_suites(sorted(SUITES), 5, node_cap=1, jobs=2)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_sweep_that_can_use_more_workers_replaces_the_pool(self, started):
+        # counterexample at 3 has two tasks, hereditary at 3 three graphs
+        names = ["counterexample", "hereditary"]
+        parallel = run_suites(names, 3, jobs=4)
+        assert [p._max_workers for p in started] == [2, 3]
+        assert multiprocessing.active_children() == []
+        assert ([r.to_json_dict() for r in parallel]
+                == [r.to_json_dict() for r in run_suites(names, 3)])
+
+    def test_suite_function_owns_its_pool(self, started):
+        crosscheck_extremal_gamma1(4, jobs=2)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+
+class TestColdStart:
+    def test_serial_use_loads_no_pool_machinery(self):
+        # a fresh interpreter, since this one has loaded the pool modules
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import dilations, dilations.cli
+
+            def pool_modules():
+                return sorted(m for m in sys.modules
+                              if m.startswith(("concurrent", "multiprocessing",
+                                               "_multiprocessing")))
+
+            dilations.load_g2nb_candidates()
+            loaded = {"import": pool_modules()}
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = dilations.cli.main(["verify", "all", "--max-n", "4",
+                                           "--format", "json", "--no-timestamp"])
+            loaded["verify"] = pool_modules()
+            print(json.dumps({"code": code, "loaded": loaded}))
+        """)
+        src = str(Path(dilations.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        result = json.loads(out.splitlines()[-1])
+        assert result == {"code": 0, "loaded": {"import": [], "verify": []}}
+
