@@ -60,17 +60,13 @@ def _load_graph(args) -> Graph:
                              if ln.strip() and not ln.lstrip().startswith("#")), "")
             fmt = "edge_list" if len(stripped.split()) > 1 else "graph6"
         return parse_graph(fmt, text)
-    raise SystemExit2("one of --family or --graph is required")
+    raise ValueError("one of --family or --graph is required")
 
 
 def _load_hypergraph(spec: str) -> Hypergraph:
     if spec == "fano":
         return builtin_hypergraph("fano")
     return parse_hypergraph(Path(spec).read_text())
-
-
-class SystemExit2(Exception):
-    """Usage error carrying exit code 2."""
 
 
 def _int_at_least(low: int):
@@ -95,7 +91,7 @@ def _int_list(text: str, option: str) -> tuple[int, ...]:
             values.append(int(entry))
         except ValueError:
             what = "is empty" if not entry.strip() else f"is not an integer: {entry!r}"
-            raise SystemExit2(f"{option}: entry {i} of {text!r} {what}") from None
+            raise ValueError(f"{option}: entry {i} of {text!r} {what}") from None
     return tuple(values)
 
 
@@ -105,13 +101,13 @@ def _build_spec(args, g: Graph) -> DilationSpec:
     elif args.s is not None:
         s = _int_list(args.s, "--s")
     else:
-        raise SystemExit2("provide --s or --s-uniform")
+        raise ValueError("provide --s or --s-uniform")
     if args.a_uniform is not None:
         a = (args.a_uniform,) * g.edge_count
     elif args.a is not None:
         a = _int_list(args.a, "--a")
     else:
-        raise SystemExit2("provide --a or --a-uniform")
+        raise ValueError("provide --a or --a-uniform")
     return DilationSpec(args.k, s, a)
 
 
@@ -290,14 +286,14 @@ def _cmd_classify(args):
     g = _load_graph(args)
     if args.what == "dilation":
         if args.k is None:
-            raise SystemExit2("classify --what dilation requires --k and block sizes")
+            raise ValueError("classify --what dilation requires --k and block sizes")
         spec = _build_spec(args, g)
         config = {"family": args.family, "graph": args.graph, "what": "dilation",
                   "k": spec.k, "s": list(spec.s), "a": list(spec.a)}
         cls = classify_dilation(*_build_dilation(dilate, g, spec)).value
         return config, _payload(args, {"class": cls}, [f"class = {cls}"])
     if any(v is not None for v in (args.k, args.s, args.s_uniform, args.a, args.a_uniform)):
-        raise SystemExit2("--k and block sizes apply only to classify --what dilation")
+        raise ValueError("--k and block sizes apply only to classify --what dilation")
     config = {"family": args.family, "graph": args.graph, "what": "families"}
     extremal = extremal_class_gamma1(g) if g.is_connected() and g.edge_count else None
     result = {
@@ -323,13 +319,13 @@ def _cmd_berge(args):
               "hypergraph": args.hypergraph, "action": args.action}
     if args.action == "verify":
         if not args.witness:
-            raise SystemExit2("berge verify requires --witness")
+            raise ValueError("berge verify requires --witness")
         w = BergeWitness.from_json(json.loads(Path(args.witness).read_text()))
         valid = verify_berge_witness(g, h, w)
         return config, _payload(args, {"valid": valid, "witness": w.to_json()},
                                 [f"valid = {str(valid).lower()}"])
     if args.witness:
-        raise SystemExit2("--witness applies only to berge verify")
+        raise ValueError("--witness applies only to berge verify")
     witness = search_berge_witness(g, h, node_cap=args.node_cap)
     if witness is None:
         return config, _payload(args, {"found": False, "witness": None}, ["NotBerge"])
@@ -357,7 +353,7 @@ def _cmd_verify(args):
     if args.suite not in ("hereditary", "all"):
         for option, value in (("--seed", args.seed), ("--samples", args.samples)):
             if value is not None:
-                raise SystemExit2(f"{option} applies only to verify hereditary and all")
+                raise ValueError(f"{option} applies only to verify hereditary and all")
     samples = 1 if args.samples is None else args.samples
     seed = 0 if args.seed is None else args.seed
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
@@ -385,7 +381,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         if getattr(args, "graph_format", None) and not args.graph:
-            raise SystemExit2("--graph-format applies only to --graph")
+            raise ValueError("--graph-format applies only to --graph")
         config, payload, *code = _COMMANDS[args.command](args)
         if args.format == "json":
             doc = {"command": args.command, "config": config, "result": payload}
@@ -401,9 +397,6 @@ def main(argv=None) -> int:
             Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
-    except SystemExit2 as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except SearchBudgetExceeded as exc:
         bound = "" if exc.best_bound is None else f", best bound: {exc.best_bound}"
         sys.stderr.write(f"timeout: {exc} (nodes: {exc.node_count}{bound})\n")

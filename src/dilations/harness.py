@@ -42,26 +42,25 @@ its suite alone. `verify all` runs the graph suites in one sweep, and
 nonextremal and counterexample each in a sweep of its own through their
 SUITES entries, since the benchmark times those two by wrapping the entries.
 
-The outermost harness call, `run_suites` or a suite function called on its
-own, owns one process pool for all of its sweeps. The first sweep with two
-or more tasks to run in parallel starts it, a later one that can use more
-workers replaces it with a larger one, and the owner shuts it down before it
-returns or raises. So `verify all --jobs 2` starts one pool, and a serial
-run never imports the pool machinery (`concurrent.futures`,
-`multiprocessing`).
+`run_suites` owns one process pool for all of its sweeps; a suite function
+called on its own runs one sweep, whose `_run_tasks` call owns the pool. The
+first sweep with two or more tasks to run in parallel starts it, a later one
+that can use more workers replaces it with a larger one, and the owner shuts
+it down before it returns or raises. So `verify all --jobs 2` starts one
+pool, and a serial run never imports the pool machinery
+(`concurrent.futures`, `multiprocessing`).
 
-The driver's first pass solves gamma and tau without the lexicographic
+The worker's first pass solves gamma and tau without the lexicographic
 witness pass, since a passing row reads only values (the nonextremal
-coverage rows too). It then runs the tasks that have a failing row again
-with the pass, so a failure record carries the same certificates as a single
-run with witness passes would.
+coverage rows too). A task that has a failing row runs again with the pass,
+so a failure record carries the same certificates as a single run with
+witness passes would.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import io
 import json
 import os
@@ -203,10 +202,10 @@ def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
     suites build rank-deficient dilations on purpose. The filter is scoped
     to the run, so the caller's warning settings are left as they were.
 
-    In parallel the tasks go to the pool of the enclosing `_pool_scope`, in
-    chunks of about a sixteenth of each worker's share, which saves a round
-    trip per task yet keeps a few slow tasks of a short list in separate
-    chunks."""
+    In parallel the tasks go to the pool of the enclosing `_pool_scope`, or
+    of one this call opens and shuts when none encloses it, in chunks of
+    about a sixteenth of each worker's share, which saves a round trip per
+    task yet keeps a few slow tasks of a short list in separate chunks."""
     jobs = _worker_count(jobs, len(tasks))
     if jobs <= 1:
         with warnings.catch_warnings():
@@ -430,12 +429,17 @@ _CHECKS = {
 }
 
 
-def _worker(task, lex_witness: bool) -> list[tuple]:
+def _worker(task) -> list[tuple]:
     """One row (suite, key, checks, certs, soft) per suite named in the task,
-    all on one graph."""
+    all on one graph. The first pass solves gamma and tau without the
+    lexicographic witness pass; if a row fails, the task runs again with it."""
     g, key, suites, node_cap = task
-    shared = _Shared(g, node_cap, lex_witness)
-    return [(suite, key, *_CHECKS[suite](shared, *params)) for suite, params in suites]
+    for lex_witness in (False, True):
+        shared = _Shared(g, node_cap, lex_witness)
+        rows = [(suite, key, *_CHECKS[suite](shared, *params)) for suite, params in suites]
+        if not any(row[2] for row in rows):
+            break
+    return rows
 
 
 def _constructions(n_max: int):
@@ -497,10 +501,9 @@ def _coverage_rows(results: list, n_max: int) -> list:
 def _sweep(scales: dict[str, int], node_cap: int, jobs: int, samples: int = 1,
            seed: int = 0) -> dict[str, VerificationReport]:
     """The reports of the suites in `scales`, from one run of their tasks.
-    Check each scale against SUITE_SCALES, run the tasks with
-    lex_witness=False, run those that have a failing row again with
-    lex_witness=True, and tally each suite's rows, sorted by instance key,
-    into its report. `samples` and `seed` go to hereditary alone."""
+    Check each scale against SUITE_SCALES, run the tasks, and tally each
+    suite's rows, sorted by instance key, into its report. `samples` and
+    `seed` go to hereditary alone."""
     configs = {}
     for suite, scale in scales.items():
         spec = SUITE_SCALES[suite]
@@ -511,16 +514,8 @@ def _sweep(scales: dict[str, int], node_cap: int, jobs: int, samples: int = 1,
         configs["hereditary"]["samples_per_graph"] = samples
     if "extremal-gamma0" in configs:
         configs["extremal-gamma0"]["nb_candidates"] = len(load_g2nb_candidates())
-    tasks = list(_tasks(scales, seed, samples, node_cap))
-    with _pool_scope():
-        results = _run_tasks(tasks, functools.partial(_worker, lex_witness=False), jobs)
-        failing = [i for i, rows in enumerate(results) if any(row[2] for row in rows)]
-        retried = _run_tasks([tasks[i] for i in failing],
-                             functools.partial(_worker, lex_witness=True), jobs)
-    for i, rows in zip(failing, retried):
-        results[i] = rows
     by_suite: dict[str, list] = {suite: [] for suite in scales}
-    for rows in results:
+    for rows in _run_tasks(list(_tasks(scales, seed, samples, node_cap)), _worker, jobs):
         for row in rows:
             by_suite[row[0]].append(row)
     if "nonextremal" in by_suite:
@@ -598,9 +593,9 @@ def run_suites(names: list[str], max_n: Optional[int] = None, samples: int = 1,
 
     The graph suites among the names share one sweep, run where the first of
     them is named. Nonextremal and counterexample each run through their
-    SUITES entry. All the sweeps share one process pool, started by the
-    first that runs in parallel and shut down before this returns or
-    raises; a serial run loads no pool machinery."""
+    SUITES entry. This call owns the one process pool all the sweeps share:
+    the first that runs in parallel starts it, and it is shut down before
+    this returns or raises; a serial run loads no pool machinery."""
     scales = {}
     for name in names:
         spec = SUITE_SCALES[name]

@@ -188,39 +188,70 @@ def _raise_gamma_on_even_n(constructions):
     return raised
 
 
+def _one_pass(task, lex_witness):
+    """The rows of a single pass of the worker over `task`."""
+    g, key, suites, node_cap = task
+    shared = harness._Shared(g, node_cap, lex_witness)
+    return [(suite, key, *harness._CHECKS[suite](shared, *params)) for suite, params in suites]
+
+
+# Each suite, run small, with a wrong verdict or prediction to patch in that
+# makes some of its tasks fail; at jobs=1 the patches reach the workers.
+_FAILING_SUITES = pytest.mark.parametrize("suite, scales, name, fake", [
+    (lambda: verify_hereditary(4, samples_per_graph=1, seed=7), {"hereditary": 4},
+     "classify_dilation", _swap_gamma_classes),
+    (lambda: crosscheck_extremal_gamma1(5), {"extremal-gamma1": 5},
+     "_gamma1_kind", _flip_equal_on_even_nu),
+    (lambda: crosscheck_extremal_gamma0(5), {"extremal-gamma0": 5},
+     "union_family_member", _flip_on_even_n(union_family_member, "member")),
+    (lambda: verify_nonextremal(4), {"nonextremal": 4},
+     "_constructions", _raise_gamma_on_even_n(harness._constructions)),
+    (lambda: verify_counterexample(5), {"counterexample": 5},
+     "in_family_g2b", _flip_on_even_n(in_family_g2b, "member")),
+], ids=["hereditary", "extremal-gamma1", "extremal-gamma0", "nonextremal",
+        "counterexample"])
+
+
 class TestWitnessRetry:
-    # The driver's first pass skips the gamma/tau witness passes and runs a
+    # The worker's first pass skips the gamma/tau witness passes and runs a
     # failing task again with them, so its record is what a single run with
-    # witness passes gives. Wrong verdicts or predictions are patched in to
-    # make some tasks fail; at jobs=1 the patches reach the workers.
-    @pytest.mark.parametrize("suite, scales, name, fake", [
-        (lambda: verify_hereditary(4, samples_per_graph=1, seed=7), {"hereditary": 4},
-         "classify_dilation", _swap_gamma_classes),
-        (lambda: crosscheck_extremal_gamma1(5), {"extremal-gamma1": 5},
-         "_gamma1_kind", _flip_equal_on_even_nu),
-        (lambda: crosscheck_extremal_gamma0(5), {"extremal-gamma0": 5},
-         "union_family_member", _flip_on_even_n(union_family_member, "member")),
-        (lambda: verify_nonextremal(4), {"nonextremal": 4},
-         "_constructions", _raise_gamma_on_even_n(harness._constructions)),
-        (lambda: verify_counterexample(5), {"counterexample": 5},
-         "in_family_g2b", _flip_on_even_n(in_family_g2b, "member")),
-    ], ids=["hereditary", "extremal-gamma1", "extremal-gamma0", "nonextremal",
-            "counterexample"])
+    # witness passes gives.
+    @_FAILING_SUITES
     def test_failure_records_carry_lex_witnesses(self, monkeypatch, suite, scales, name,
                                                  fake):
         monkeypatch.setattr(harness, name, fake)
         tasks = list(harness._tasks(scales, 7, 1, DEFAULT_NODE_CAP))
         report = suite()
         failures = [f for f in report.failures if not f.instance.endswith(":coverage")]
-        with_witnesses = [harness._worker(task, lex_witness=True) for task in tasks]
+        with_witnesses = [_one_pass(task, True) for task in tasks]
         assert failures == sorted((FailureRecord(key, tuple(checks), certs, soft)
                                    for rows in with_witnesses
                                    for _suite, key, checks, certs, soft in rows if checks),
                                   key=lambda f: f.instance)
         assert 0 < len(failures) < len(tasks)
         # the records differ from the first pass's, so the second pass is needed
-        assert any(harness._worker(task, lex_witness=False) != rows
+        assert any(_one_pass(task, False) != rows
                    for task, rows in zip(tasks, with_witnesses) if any(r[2] for r in rows))
+
+    @_FAILING_SUITES
+    @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
+    def test_sweep_runs_every_task_in_one_call(self, monkeypatch, suite, scales, name, fake,
+                                               failing):
+        # the retry lives in the worker, so a sweep hands its tasks to
+        # _run_tasks once, whether or not some of them fail
+        if failing:
+            monkeypatch.setattr(harness, name, fake)
+        calls = []
+        run_tasks = harness._run_tasks
+
+        def recorded(tasks, worker, jobs):
+            calls.append(list(tasks))
+            return run_tasks(tasks, worker, jobs)
+
+        monkeypatch.setattr(harness, "_run_tasks", recorded)
+        report = suite()
+        assert bool(report.failures) == failing
+        assert calls == [list(harness._tasks(scales, 7, 1, DEFAULT_NODE_CAP))]
 
     @pytest.fixture(scope="class")
     def unpatched_all(self):
@@ -304,15 +335,15 @@ class TestSharedSweep:
                 return h, w
             return wrapped
 
-        def tracked_worker(task, lex_witness):
+        def tracked_worker(task):
             g, key, suites = task[:3]
             if suites[0][0] in ("nonextremal", "counterexample"):
-                return worker(task, lex_witness)  # one power each, nothing shared
+                return worker(task)  # one power each, nothing shared
             needed[key] = [Hypergraph.from_graph(g), generalized_power(g, 4, 1)[0],
                            generalized_power(g, 4, 2)[0]]
             current.append(key)
             try:
-                return worker(task, lex_witness)
+                return worker(task)
             finally:
                 current.pop()
 
