@@ -3,15 +3,11 @@
 Run:  python demos/02_dilations_and_powers.py
 """
 
-import warnings
-
-from dilations import (DilationSpec, RankDeficitWarning, builtin_hypergraph,
-                       check_dilation_properties, classify_dilation, cycle, dilate,
-                       generalized_power, natural_berge_witness,
-                       random_dilation, search_berge_witness,
-                       to_hypergraph_text, verify_berge_witness)
-
-warnings.simplefilter("ignore", RankDeficitWarning)
+from dilations import (DilationSpec, builtin_hypergraph, check_dilation_properties,
+                       classify_dilation, cycle, dilate, generalized_power,
+                       natural_berge_witness, random_dilation,
+                       search_berge_witness, to_hypergraph_text,
+                       verify_berge_witness)
 
 
 def section(title):

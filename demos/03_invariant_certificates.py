@@ -4,15 +4,11 @@ Run:  python demos/03_invariant_certificates.py
 """
 
 import json
-import warnings
 
-from dilations import (RankDeficitWarning, builtin_hypergraph,
-                       check_certificate, complete, complete_minus_clique,
-                       cp_vee_cq, cycle, domination_number, g_nr,
-                       generalized_power, ghat_nr, is_keg, matching_number,
-                       transversal_number)
-
-warnings.simplefilter("ignore", RankDeficitWarning)
+from dilations import (builtin_hypergraph, check_certificate, complete,
+                       complete_minus_clique, cp_vee_cq, cycle,
+                       domination_number, g_nr, generalized_power, ghat_nr,
+                       is_keg, matching_number, transversal_number)
 
 
 def section(title):

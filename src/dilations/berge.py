@@ -16,6 +16,7 @@ from typing import Optional
 from .errors import ParseError, SearchBudgetExceeded, StructuralError
 from .graphs import Graph
 from .hypergraphs import Hypergraph
+from .invariants import DEFAULT_NODE_CAP
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def _max_matching(adjacency: list[list[int]], n_right: int) -> tuple[int, list[i
 
 
 def search_berge_witness(g: Graph, h: Hypergraph,
-                         node_cap: int = 10**7) -> Optional[BergeWitness]:
+                         node_cap: int = DEFAULT_NODE_CAP) -> Optional[BergeWitness]:
     """Find a verified Berge witness, or return None when none exists.
 
     Backtracks over vertex injections in descending graph-degree order; a

@@ -16,14 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .berge import BergeWitness, search_berge_witness, verify_berge_witness
-from .dilation import (DilationSpec, RankDeficitWarning, classify_dilation,
-                       check_dilation_properties, dilate, generalized_power)
+from .dilation import (DilationSpec, classify_dilation, check_dilation_properties,
+                       dilate, generalized_power)
 from .errors import SearchBudgetExceeded
 from .families import (derive_g2nb_candidates, extremal_class_gamma1,
                        in_family_g1, in_family_g2b, in_family_g2nb,
@@ -209,14 +208,6 @@ def _payload(args, result: dict, lines: list[str]):
     return result if args.format == "json" else lines
 
 
-def _build_dilation(build, *params):
-    """Call `dilate` or `generalized_power`; the output reports a rank deficit,
-    so its warning is silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficitWarning)
-        return build(*params)
-
-
 def _dilation_payload(args, g, h, w, rank_note: str):
     """The payload of dilate and power; text mode skips the property checks."""
     cls = classify_dilation(h, w).value
@@ -250,14 +241,14 @@ def _cmd_dilate(args):
     spec = _build_spec(args, g)
     config = {"family": args.family, "graph": args.graph, "k": spec.k,
               "s": list(spec.s), "a": list(spec.a)}
-    h, w = _build_dilation(dilate, g, spec)
+    h, w = dilate(g, spec)
     return config, _dilation_payload(args, g, h, w, f" of declared {spec.k}")
 
 
 def _cmd_power(args):
     g = _load_graph(args)
     config = {"family": args.family, "graph": args.graph, "k": args.k, "s": args.s}
-    h, w = _build_dilation(generalized_power, g, args.k, args.s)
+    h, w = generalized_power(g, args.k, args.s)
     return config, _dilation_payload(args, g, h, w, "")
 
 
@@ -290,7 +281,7 @@ def _cmd_classify(args):
         spec = _build_spec(args, g)
         config = {"family": args.family, "graph": args.graph, "what": "dilation",
                   "k": spec.k, "s": list(spec.s), "a": list(spec.a)}
-        cls = classify_dilation(*_build_dilation(dilate, g, spec)).value
+        cls = classify_dilation(*dilate(g, spec)).value
         return config, _payload(args, {"class": cls}, [f"class = {cls}"])
     if any(v is not None for v in (args.k, args.s, args.s_uniform, args.a, args.a_uniform)):
         raise ValueError("--k and block sizes apply only to classify --what dilation")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,9 @@ from .hypergraphs import Hypergraph
 
 
 class RankDeficitWarning(UserWarning):
-    """Emitted when a dilation's computed rank is strictly below the declared cap."""
+    """Not emitted: dilations need not be uniform, so a rank below the declared
+    cap is an ordinary result, read as `h.rank < w.declared_rank`. Kept so
+    that code which filters it by name still imports it."""
 
 
 class DilationClass(enum.Enum):
@@ -145,7 +146,8 @@ def dilate(g: Graph, spec: DilationSpec) -> tuple[Hypergraph, BlockWitness]:
 
     Vertex layout: support vertices first (graph vertex v maps to v), then
     copy vertices grouped by owner, then additional vertices grouped by edge
-    in Graph.edges() order.
+    in Graph.edges() order. Hyperedges may stay below the cap spec.k, as
+    dilations need not be uniform; h.rank < w.declared_rank then shows it.
     """
     spec.validate(g)
     edges = g.edges()
@@ -177,10 +179,6 @@ def dilate(g: Graph, spec: DilationSpec) -> tuple[Hypergraph, BlockWitness]:
         edge_map=tuple(range(len(edges))),
         declared_rank=spec.k,
     )
-    if h.rank < spec.k:
-        warnings.warn(
-            f"computed rank {h.rank} is below the declared rank {spec.k}",
-            RankDeficitWarning, stacklevel=2)
     return h, witness
 
 

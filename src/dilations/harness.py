@@ -64,15 +64,13 @@ import csv
 import io
 import json
 import os
-import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .berge import random_berge
-from .dilation import (DilationClass, DilationSpec, RankDeficitWarning,
-                       classify_dilation, dilate, generalized_power,
-                       random_dilation)
+from .dilation import (DilationClass, DilationSpec, classify_dilation, dilate,
+                       generalized_power, random_dilation)
 from .errors import DomainError
 from .families import (_gamma1_kind, in_family_g1, in_family_g2b, in_family_g2nb,
                        load_g2nb_candidates, union_family_member)
@@ -198,9 +196,7 @@ def _worker_count(jobs: int, n_tasks: int) -> int:
 
 
 def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
-    """Run `worker` on every task, with RankDeficitWarning silenced: the
-    suites build rank-deficient dilations on purpose. The filter is scoped
-    to the run, so the caller's warning settings are left as they were.
+    """Run `worker` on every task, in order.
 
     In parallel the tasks go to the pool of the enclosing `_pool_scope`, or
     of one this call opens and shuts when none encloses it, in chunks of
@@ -208,17 +204,14 @@ def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
     task yet keeps a few slow tasks of a short list in separate chunks."""
     jobs = _worker_count(jobs, len(tasks))
     if jobs <= 1:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankDeficitWarning)
-            return [worker(t) for t in tasks]
+        return [worker(t) for t in tasks]
     with _pool_scope() as pool:
         return list(pool.executor(jobs).map(
             worker, tasks, chunksize=max(1, len(tasks) // (16 * jobs))))
 
 
 class _Pool:
-    """The process pool of one outermost harness call, started on first use.
-    Its workers ignore RankDeficitWarning, as a serial run does."""
+    """The process pool of one outermost harness call, started on first use."""
 
     def __init__(self):
         self._executor = None
@@ -231,9 +224,7 @@ class _Pool:
             self.shutdown()
             # imported here, so that a serial run never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers, initializer=warnings.simplefilter,
-                initargs=("ignore", RankDeficitWarning))
+            self._executor = ProcessPoolExecutor(max_workers=workers)
             self._workers = workers
         return self._executor
 

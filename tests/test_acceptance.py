@@ -22,15 +22,13 @@ Criteria (exact combinatorial identities, zero tolerance):
 """
 
 import random
-import warnings
 
 import pytest
 
 from dilations.berge import (natural_berge_witness, search_berge_witness,
                              verify_berge_witness)
-from dilations.dilation import (DilationClass, DilationSpec,
-                                RankDeficitWarning, classify_dilation, dilate,
-                                generalized_power, random_dilation)
+from dilations.dilation import (DilationClass, DilationSpec, classify_dilation,
+                                dilate, generalized_power, random_dilation)
 from dilations.families import in_family_g1, in_family_g2b, in_family_g2nb, \
     derive_g2nb_candidates
 from dilations.graphs import (Graph, complete, complete_bipartite,
@@ -43,8 +41,6 @@ from dilations.invariants import (domination_number, is_keg, matching_number,
                                   transversal_number)
 from dilations.isomorphism import canonical_form, enumerate_connected
 from oracles import brute_berge_exists, brute_gamma, brute_nu, brute_tau
-
-warnings.simplefilter("ignore", RankDeficitWarning)
 
 
 def announce(criterion: str, ok: bool):

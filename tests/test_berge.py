@@ -1,15 +1,16 @@
+import inspect
 import random
-import warnings
 
 import pytest
 
 from dilations.berge import (BergeWitness, natural_berge_witness, random_berge,
                              search_berge_witness, verify_berge_witness)
-from dilations.dilation import RankDeficitWarning, random_dilation
+from dilations.dilation import random_dilation
 from dilations.errors import StructuralError
 from dilations.graphs import Graph, complete, cycle, path
 from dilations.hypergraphs import Hypergraph, builtin_hypergraph
-from dilations.invariants import matching_number, transversal_number
+from dilations.invariants import (DEFAULT_NODE_CAP, domination_number, is_keg,
+                                  matching_number, transversal_number)
 from oracles import brute_berge_exists
 
 
@@ -29,9 +30,7 @@ class TestVerify:
             if not edges:
                 continue
             g = Graph.from_edges(n, edges)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RankDeficitWarning)
-                h, bw = random_dilation(g, 5, seed=seed)
+            h, bw = random_dilation(g, 5, seed=seed)
             assert verify_berge_witness(g, h, natural_berge_witness(bw))
 
     def test_size_mismatch(self):
@@ -74,6 +73,11 @@ class TestSearch:
     def test_size_mismatch(self):
         with pytest.raises(StructuralError):
             search_berge_witness(complete(3), Hypergraph.from_edge_sets(4, [[0, 1, 2]]))
+
+    @pytest.mark.parametrize("search", [search_berge_witness, domination_number,
+                                        matching_number, transversal_number, is_keg])
+    def test_one_default_node_cap(self, search):
+        assert inspect.signature(search).parameters["node_cap"].default == DEFAULT_NODE_CAP
 
     def test_agrees_with_bruteforce_on_corpus(self):
         rng = random.Random(17)

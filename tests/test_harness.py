@@ -16,10 +16,8 @@ import pytest
 import dilations
 from dilations import harness
 from dilations.cli import main
-from dilations.dilation import (DilationClass, DilationSpec, RankDeficitWarning,
-                                classify_dilation, dilate, generalized_power)
+from dilations.dilation import DilationClass, classify_dilation, generalized_power
 from dilations.errors import DomainError, SearchBudgetExceeded
-from dilations.graphs import cycle
 from dilations.harness import (SUITE_SCALES, SUITES, FailureRecord,
                                VerificationReport,
                                crosscheck_extremal_gamma0,
@@ -67,12 +65,16 @@ class TestSuitesGreen:
             with pytest.raises(DomainError, match=f"2 <= {spec.param} <= {spec.cap}"):
                 SUITES[suite](scale)
 
-    def test_rank_deficit_warning_not_silenced_for_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            verify_counterexample(2)
-            dilate(cycle(3), DilationSpec(6, (1, 1, 1), (0, 0, 0)))
-        assert sum(issubclass(w.category, RankDeficitWarning) for w in caught) == 1
+    def test_sweeps_emit_no_warning_serial_or_in_a_pool(self):
+        # forked workers inherit the "error" filter, so a warning a worker
+        # emits raises through the pool's map
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filters = list(warnings.filters)
+            reports = [[r.to_json_dict() for r in run_suites(sorted(SUITES), 4, jobs=j)]
+                       for j in (1, 2)]
+            assert warnings.filters == filters
+        assert reports[0] == reports[1]
 
 
 class TestDeterminism:
