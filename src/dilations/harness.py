@@ -42,13 +42,11 @@ its suite alone. `verify all` runs the graph suites in one sweep, and
 nonextremal and counterexample each in a sweep of its own through their
 SUITES entries, since the benchmark times those two by wrapping the entries.
 
-`run_suites` owns one process pool for all of its sweeps; a suite function
-called on its own runs one sweep, whose `_run_tasks` call owns the pool. The
-first sweep with two or more tasks to run in parallel starts it, a later one
-that can use more workers replaces it with a larger one, and the owner shuts
-it down before it returns or raises. So `verify all --jobs 2` starts one
-pool, and a serial run never imports the pool machinery
-(`concurrent.futures`, `multiprocessing`).
+With two or more workers, each sweep starts its own process pool in its
+`_run_tasks` call and shuts it down before that call returns or raises, so
+no worker outlives its sweep and `verify all --jobs 2` starts one pool per
+sweep. A serial run never imports the pool machinery (`concurrent.futures`,
+`multiprocessing`).
 
 The worker's first pass solves gamma and tau without the lexicographic
 witness pass, since a passing row reads only values (the nonextremal
@@ -59,12 +57,10 @@ witness passes would.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
 import os
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -198,64 +194,22 @@ def _worker_count(jobs: int, n_tasks: int) -> int:
 def _run_tasks(tasks: list, worker: Callable, jobs: int) -> list:
     """Run `worker` on every task, in order.
 
-    In parallel the tasks go to the pool of the enclosing `_pool_scope`, or
-    of one this call opens and shuts when none encloses it, in chunks of
-    about a sixteenth of each worker's share, which saves a round trip per
-    task yet keeps a few slow tasks of a short list in separate chunks."""
+    In parallel the tasks go to a pool that this call starts and shuts down
+    before it returns or raises, in chunks of about a sixteenth of each
+    worker's share, which saves a round trip per task yet keeps a few slow
+    tasks of a short list in separate chunks. The shutdown drops the chunks
+    not yet started, so an error in a worker ends the call without waiting
+    for the rest."""
     jobs = _worker_count(jobs, len(tasks))
     if jobs <= 1:
         return [worker(t) for t in tasks]
-    with _pool_scope() as pool:
-        return list(pool.executor(jobs).map(
-            worker, tasks, chunksize=max(1, len(tasks) // (16 * jobs))))
-
-
-class _Pool:
-    """The process pool of one outermost harness call, started on first use."""
-
-    def __init__(self):
-        self._executor = None
-        self._workers = 0
-
-    def executor(self, workers: int):
-        """The running pool, first started or replaced by one of `workers`
-        workers if it has fewer."""
-        if self._workers < workers:
-            self.shutdown()
-            # imported here, so that a serial run never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            self._executor = ProcessPoolExecutor(max_workers=workers)
-            self._workers = workers
-        return self._executor
-
-    def shutdown(self) -> None:
-        """Stop the workers, dropping tasks not yet started, and wait for them."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor, self._workers = None, 0
-
-
-# The pool of the innermost enclosing `_pool_scope`, per thread. `_run_tasks`
-# keeps its (tasks, worker, jobs) signature, which the benchmark's tracer
-# wraps, so the pool reaches it here rather than as an argument.
-_current_pool: ContextVar[Optional[_Pool]] = ContextVar("_current_pool", default=None)
-
-
-@contextlib.contextmanager
-def _pool_scope():
-    """The pool of the enclosing scope; the outermost scope makes it and
-    shuts it down when it exits, by return or by exception."""
-    pool = _current_pool.get()
-    if pool is not None:
-        yield pool
-        return
-    pool = _Pool()
-    token = _current_pool.set(pool)
+    # imported here, so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=jobs)
     try:
-        yield pool
+        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (16 * jobs))))
     finally:
-        _current_pool.reset(token)
-        pool.shutdown()
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _check(checks: list, name: str, expected, got):
@@ -579,14 +533,16 @@ def run_suites(names: list[str], max_n: Optional[int] = None, samples: int = 1,
                jobs: int = 1) -> list[VerificationReport]:
     """The reports of the named suites, in the order named. Each suite runs
     at `max_n`, or at its default scale when max_n is None; when several
-    suites are named, `max_n` is capped at each one's largest scale.
-    `samples` and `seed` go to hereditary alone.
+    suites are named, `max_n` must be at least 2 and is capped at each one's
+    largest scale. `samples` and `seed` go to hereditary alone.
 
     The graph suites among the names share one sweep, run where the first of
     them is named. Nonextremal and counterexample each run through their
-    SUITES entry. This call owns the one process pool all the sweeps share:
-    the first that runs in parallel starts it, and it is shut down before
-    this returns or raises; a serial run loads no pool machinery."""
+    SUITES entry. A sweep that runs in parallel starts its own process pool
+    and shuts it down before it returns or raises; a serial run loads no
+    pool machinery."""
+    if len(names) > 1 and max_n is not None and max_n < 2:
+        raise DomainError("every suite needs 2 <= max_n")
     scales = {}
     for name in names:
         spec = SUITE_SCALES[name]
@@ -599,12 +555,11 @@ def run_suites(names: list[str], max_n: Optional[int] = None, samples: int = 1,
     swept = {name: scale for name, scale in scales.items()
              if name not in ("nonextremal", "counterexample")}
     reports: dict[str, VerificationReport] = {}
-    with _pool_scope():
-        for name in names:
-            if name in reports:
-                continue
-            if name in swept:
-                reports.update(_sweep(swept, node_cap, jobs, samples, seed))
-            else:
-                reports[name] = SUITES[name](scales[name], node_cap=node_cap, jobs=jobs)
+    for name in names:
+        if name in reports:
+            continue
+        if name in swept:
+            reports.update(_sweep(swept, node_cap, jobs, samples, seed))
+        else:
+            reports[name] = SUITES[name](scales[name], node_cap=node_cap, jobs=jobs)
     return [reports[name] for name in names]

@@ -298,6 +298,12 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "verify", suite, "--max-n", max_n)
         assert code == 2 and "2 <=" in err and "PASS" not in out
 
+    @pytest.mark.parametrize("max_n", ["-1", "0", "1"])
+    def test_verify_all_scale_below_two_is_one_message(self, capsys, max_n):
+        # not the first suite's own range, which names a suite and a top bound
+        code, out, err = run_cli(capsys, "verify", "all", "--max-n", max_n)
+        assert (code, out, err) == (2, "", "error: every suite needs 2 <= max_n\n")
+
     @pytest.mark.parametrize("argv", [
         ("invariant", "--param", "nu", "--family", "cycle:5", "--node-cap", "-1"),
         ("invariant", "--param", "nu", "--family", "cycle:5", "--node-cap", "0"),

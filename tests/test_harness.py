@@ -384,13 +384,22 @@ class TestProcessPool:
                             raising=False)
         return pools
 
-    def test_verify_all_starts_one_pool(self, started):
+    def test_each_parallel_sweep_owns_its_pool(self, started, monkeypatch):
+        run_tasks, children = harness._run_tasks, []
+
+        def run_and_look(tasks, worker, jobs):
+            rows = run_tasks(tasks, worker, jobs)
+            children.append(multiprocessing.active_children())
+            return rows
+
+        monkeypatch.setattr(harness, "_run_tasks", run_and_look)
         names = sorted(SUITES)
         parallel = run_suites(names, 5, jobs=2)
-        assert [p._max_workers for p in started] == [2]
-        assert multiprocessing.active_children() == []
+        # counterexample, the graph suites' shared sweep and nonextremal
+        assert children == [[], [], []]
+        assert [p._max_workers for p in started] == [2, 2, 2]
         serial = run_suites(names, 5)
-        assert len(started) == 1
+        assert len(started) == 3
         assert [r.to_json_dict() for r in parallel] == [r.to_json_dict() for r in serial]
 
     def test_pool_shut_down_when_a_sweep_raises(self, started):
@@ -399,7 +408,7 @@ class TestProcessPool:
         assert len(started) == 1
         assert multiprocessing.active_children() == []
 
-    def test_sweep_that_can_use_more_workers_replaces_the_pool(self, started):
+    def test_each_sweep_sizes_its_own_pool(self, started):
         # counterexample at 3 has two tasks, hereditary at 3 three graphs
         names = ["counterexample", "hereditary"]
         parallel = run_suites(names, 3, jobs=4)
