@@ -9,7 +9,10 @@ only the value pass lex_witness=False to the gamma and tau solvers, which
 then skip the second pass and certify the optimal cover the value search
 found, sorted; it is just as deterministic, but not always the smallest. An
 exhaustive mode (plain subset enumeration) is available as a slow reference
-path; it ignores lex_witness.
+path; it ignores lex_witness. Every search is a loop over an explicit stack
+that pushes a node's children last first, so it visits nodes in the preorder a
+recursive search would, and its depth is bounded by memory and the node cap,
+not by Python's recursion limit.
 
 Domination uses co-occurrence adjacency: two hypergraph vertices are
 adjacent when some hyperedge contains both. A vertex lying in no hyperedge
@@ -94,7 +97,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DomainError, SearchBudgetExceeded
 from .graphs import Graph, _mask_to_list
@@ -269,22 +272,21 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
     # branching order: fewest coverers first, then lowest index
     order = [e for _, e in sorted([((coverer_masks[e] & ~dropped).bit_count(), e)
                                    for e in _mask_to_list(universe)])]
-    chosen: list[int] = []
-
-    def descend(covered: int, forbidden: int, depth: int):
-        # solution space of this node: covers extending the current choices and
-        # avoiding `forbidden`; branching on the i-th candidate forbids the
-        # earlier ones, so the branches partition the space (no permutation
-        # of the same cover is ever explored twice)
-        nonlocal best_value, best_cover
+    # a node is (covered, forbidden, chosen); its solution space is the covers
+    # extending `chosen` and avoiding `forbidden`. Branching on the i-th
+    # candidate forbids the earlier ones, so the branches partition the space
+    # (no permutation of the same cover is ever explored twice)
+    stack = [(0, dropped, ())]  # no search branches on a dropped set or takes it
+    while stack:
+        covered, forbidden, chosen = stack.pop()
         budget.tick(best_value)
         uncovered = universe & ~covered
         if not uncovered:
-            if depth < best_value:
-                best_value, best_cover = depth, chosen[:]
-            return
-        if depth + _packing_bound(union_masks, uncovered) >= best_value:
-            return
+            if len(chosen) < best_value:
+                best_value, best_cover = len(chosen), chosen
+            continue
+        if len(chosen) + _packing_bound(union_masks, uncovered) >= best_value:
+            continue
         for e in order:
             if uncovered >> e & 1:
                 break
@@ -296,14 +298,11 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
             s = bit.bit_length() - 1
             usable.append((-(cover_masks[s] & uncovered).bit_count(), s))
         usable.sort()
-        seen = 0
+        children = []
         for _, s in usable:
-            chosen.append(s)
-            descend(covered | cover_masks[s], forbidden | seen, depth + 1)
-            chosen.pop()
-            seen |= 1 << s
-
-    descend(0, dropped, 0)  # no search branches on a dropped set or takes it
+            children.append((covered | cover_masks[s], forbidden, chosen + (s,)))
+            forbidden |= 1 << s
+        stack += reversed(children)
     if not lex_witness:
         return tuple(sorted(best_cover))
 
@@ -312,47 +311,38 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
     if dropped:
         cover_masks = [0 if dropped >> s & 1 else mask for s, mask in enumerate(cover_masks)]
     n_sets = len(cover_masks)
-    target = best_value
-    witness: Optional[tuple[int, ...]] = None
     ends = [0] * n_sets  # ends[s]: the elements whose highest-index coverer is s
     m = universe
     while m:
         low = m & -m
         m ^= low
         ends[(coverer_masks[low.bit_length() - 1] & ~dropped).bit_length() - 1] |= low
-
-    def lex(start: int, covered: int):
-        nonlocal witness
-        if witness is not None:
-            return
+    stack = [(0, 0, ())]  # (first set to try, covered, chosen)
+    while stack:
+        start, covered, chosen = stack.pop()
         budget.tick(best_value)
         uncovered = universe & ~covered
         if not uncovered:
-            # a complete cover here has exactly `target` sets: fewer would
+            # a complete cover here has exactly `best_value` sets: fewer would
             # contradict the value phase, and more cannot be reached, since a
             # non-empty uncovered set has a packing bound of at least 1, which
             # prunes every node whose `remaining` is 0
-            witness = tuple(chosen)
-            return
-        remaining = target - len(chosen)
+            return chosen
+        remaining = best_value - len(chosen)
         if _packing_bound(union_masks, uncovered) > remaining:
-            return
+            continue
+        children = []
         for s in range(start, n_sets):
             if n_sets - s < remaining:
                 break
             if cover_masks[s] & uncovered == 0:
                 continue
-            chosen.append(s)
-            lex(s + 1, covered | cover_masks[s])
-            chosen.pop()
-            if witness is not None or ends[s] & uncovered:
+            children.append((s + 1, covered | cover_masks[s], chosen + (s,)))
+            if ends[s] & uncovered:
                 # the later sets cannot cover the elements whose last coverer is s
-                return
-
-    lex(0, 0)  # `chosen` is empty again once descend has returned
-    if witness is None:
-        raise RuntimeError("internal error: optimal cover vanished during reconstruction")
-    return witness
+                break
+        stack += reversed(children)
+    raise RuntimeError("internal error: optimal cover vanished during reconstruction")
 
 
 def _first_combination(n: int, sizes, accept, budget: _Budget) -> tuple[int, ...]:
@@ -485,25 +475,21 @@ def _max_packing(h: Hypergraph, budget: _Budget) -> tuple[int, ...]:
             acc |= e
     witness = tuple(greedy)
     best_value = len(witness)
-    chosen: list[int] = []
-
-    def descend(cands: int, count: int):
-        nonlocal best_value, witness
+    stack = [((1 << len(masks)) - 1, ())]  # (candidates, chosen)
+    while stack:
+        cands, chosen = stack.pop()
         budget.tick(best_value)
+        count = len(chosen)
         if not cands:
             if count > best_value:
-                best_value, witness = count, tuple(chosen)
-            return
+                best_value, witness = count, chosen
+            continue
         if count + bound(cands, best_value - count + 1) <= best_value:
-            return
+            continue
         low = cands & -cands
         i = low.bit_length() - 1
-        chosen.append(i)
-        descend(cands & ~conflicts[i], count + 1)
-        chosen.pop()
-        descend(cands ^ low, count)
-
-    descend((1 << len(masks)) - 1, 0)
+        stack.append((cands ^ low, chosen))  # drop, popped after every take below
+        stack.append((cands & ~conflicts[i], chosen + (i,)))  # take
     return witness
 
 

@@ -6,7 +6,10 @@ partitions (every cell a clique or independent set, every cell pair joined
 completely or not at all) short-circuit the search, which keeps highly
 symmetric graphs such as complete multipartite graphs cheap. The search works
 on adjacency rows: its winning code is the tuple of canonically relabelled
-rows, and the canonical code is the graph6 string of those rows.
+rows, and the canonical code is the graph6 string of those rows. The search
+is a loop over an explicit stack that pushes a node's children last first, so
+it visits nodes in the preorder a recursive search would, and its depth is
+bounded by memory, not by Python's recursion limit.
 
 Each refinement round counts neighbors only into splitter cells, as in
 McKay and Piperno's *Practical graph isomorphism II* (2014): the fragments
@@ -74,13 +77,24 @@ def _search(adj: Rows) -> tuple[Rows, list[int], list[Perm]]:
     original vertex) and automorphism generators (perm[v] is the image of v).
     """
     n = len(adj)
+    if n == 0:
+        return (), [], []
     best_code: Optional[Rows] = None
     best_order: list[int] = []
     generators: list[Perm] = []
-
-    def leaf(cells: list[list[int]]) -> None:
-        nonlocal best_code, best_order
-        order = [v for cell in cells for v in cell]
+    stack = [([list(range(n))], [(1 << n) - 1])]  # counts into every vertex: the degrees
+    while stack:
+        cells, splitters = stack.pop()
+        cells = _refine(adj, cells, splitters)
+        if len(cells) < n and not _homogeneous(adj, cells):
+            target = next(i for i, c in enumerate(cells) if len(c) > 1)
+            for v in reversed(cells[target]):
+                branched = (cells[:target]
+                            + [[v], [u for u in cells[target] if u != v]]
+                            + cells[target + 1:])
+                stack.append((branched, [1 << v]))  # the rest of the cell is the left-out fragment
+            continue
+        order = [v for cell in cells for v in cell]  # a leaf
         pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
@@ -98,22 +112,6 @@ def _search(adj: Rows) -> tuple[Rows, list[int], list[Perm]]:
                     perm = list(range(n))
                     perm[u], perm[v] = v, u
                     generators.append(tuple(perm))
-
-    def search(cells: list[list[int]], splitters: list[int]) -> None:
-        cells = _refine(adj, cells, splitters)
-        if len(cells) == n or _homogeneous(adj, cells):
-            leaf(cells)
-            return
-        target = next(i for i, c in enumerate(cells) if len(c) > 1)
-        for v in cells[target]:
-            branched = (cells[:target]
-                        + [[v], [u for u in cells[target] if u != v]]
-                        + cells[target + 1:])
-            search(branched, [1 << v])  # the rest of the cell is the left-out fragment
-
-    if n == 0:
-        return (), [], []
-    search([list(range(n))], [(1 << n) - 1])  # counts into every vertex: the degrees
     return best_code, best_order, generators
 
 
@@ -295,15 +293,16 @@ def _connected_without(rows: Rows, u: int) -> bool:
 
 
 def _connected_classes(n: int) -> tuple[_Class, ...]:
-    """The classes of connected graphs on n vertices, sorted by code."""
-    if n in _connected_cache:
-        return _connected_cache[n]
-    if n == 1:
-        result = (_Class(_rows_to_graph6((0,)), Graph(1, [0]), ()),)
-    else:
-        last = n - 1  # the added vertex
-        scale = n * n  # exceeds every neighbour-degree sum on n vertices
-        bases = _connected_classes(n - 1)
+    """The classes of connected graphs on n vertices, sorted by code. Each
+    level is built from the one below it, and every level is cached."""
+    if 1 not in _connected_cache:
+        _connected_cache[1] = (_Class(_rows_to_graph6((0,)), Graph(1, [0]), ()),)
+    for k in range(2, n + 1):
+        if k in _connected_cache:
+            continue
+        last = k - 1  # the added vertex
+        scale = k * k  # exceeds every neighbour-degree sum on k vertices
+        bases = _connected_cache[k - 1]
         base_entries = [_profile_entries(base.graph.adj, scale) for base in bases]
         # profile -> index of the last base that has it
         latest = {tuple(sorted(entries)): i for i, entries in enumerate(base_entries)}
@@ -320,13 +319,12 @@ def _connected_classes(n: int) -> tuple[_Class, ...]:
                     code, _, generators = _search(rows)
                     key = 0  # the code rows packed into one int, which keeps the dict small
                     for row in code:
-                        key = key << n | row
+                        key = key << k | row
                     if key not in seen:
-                        seen[key] = _Class(_rows_to_graph6(code), Graph(n, rows),
+                        seen[key] = _Class(_rows_to_graph6(code), Graph(k, rows),
                                            tuple(generators))
-        result = tuple(sorted(seen.values(), key=lambda cls: cls.code))
-    _connected_cache[n] = result
-    return result
+        _connected_cache[k] = tuple(sorted(seen.values(), key=lambda cls: cls.code))
+    return _connected_cache[n]
 
 
 def enumerate_connected(n: int, min_degree: Optional[int] = None,

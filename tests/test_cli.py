@@ -40,6 +40,17 @@ class TestBasicCommands:
         jsonschema.validate(doc["result"], load_schema("certificate.schema.json"))
         assert doc["result"]["value"] == 1
 
+    def test_invariant_deep_nu_search(self, capsys, tmp_path):
+        # the 1,002-vertex path with its odd edges first: the search drops each
+        # of the greedy's 500 edges in turn, on a path 1,000 nodes deep
+        edges = [(i, i + 1) for i in range(1, 1001, 2)] + [(i, i + 1) for i in range(0, 1001, 2)]
+        hyper = tmp_path / "path.txt"
+        hyper.write_text("m 1002\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        code, out, _ = run_cli(capsys, "invariant", "--hypergraph", str(hyper),
+                               "--param", "nu", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == 501
+
     def test_gen_and_reparse(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--family", "cycle:6", "--no-timestamp")
         assert code == 0

@@ -1,5 +1,6 @@
+import gc
 import hashlib
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,7 @@ from dilations import invariants
 from dilations.invariants import (Certificate, check_certificate,
                                   domination_number, is_keg, matching_number,
                                   transversal_number)
-from dilations.isomorphism import enumerate_connected
+from dilations.isomorphism import canonical_labeling, enumerate_connected
 from oracles import (brute_gamma, brute_nu, brute_tau, cover_reductions,
                      greedy_transversal_nu)
 
@@ -331,6 +332,11 @@ def _phases(cert):
     return cert.node_count - cert.witness_nodes, cert.witness_nodes
 
 
+_DISJOINT_EDGES = Hypergraph.from_edge_sets(2200, [[i, i + 1] for i in range(0, 2200, 2)])
+_ODD_FIRST_PATH = Hypergraph.from_edge_sets(
+    1002, [[i, i + 1] for i in range(1, 1001, 2)] + [[i, i + 1] for i in range(0, 1001, 2)])
+
+
 class TestNodeCounts:
     # Node counts are deterministic, so a change that keeps every witness but
     # searches more (a bound that prunes late, a cut that fires one step late) still
@@ -359,8 +365,15 @@ class TestNodeCounts:
         (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 0)),
         (matching_number, generalized_power(complete(12), 4, 1)[0], (1, 0)),
         (domination_number, generalized_power(complete_minus_clique(6, 2), 4, 1)[0], (45, 76)),
+        # deep instances, each past Python's recursion limit: gamma 999, tau and
+        # gamma 1,100, and nu 501 after the greedy's 500 (odd edges listed first)
+        (domination_number, Hypergraph.from_edge_sets(1000, [[0, 999]]), (1, 1000)),
+        (transversal_number, _DISJOINT_EDGES, (1, 1101)),
+        (domination_number, _DISJOINT_EDGES, (1, 1101)),
+        (matching_number, _ODD_FIRST_PATH, (2003, 0)),
     ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1", "nu_K12_4_1",
-            "gamma_K12_minus_edge_4_1"])
+            "gamma_K12_minus_edge_4_1", "gamma_m1000_one_edge", "tau_1100_disjoint_edges",
+            "gamma_1100_disjoint_edges", "nu_path_1002_odd_edges_first"])
     def test_named_instances(self, fn, x, phases):
         cert = fn(x)
         assert _phases(cert) == phases
@@ -537,6 +550,32 @@ class TestNuCountingBound:
                 m += size
             rng.shuffle(edges)
             self._check(Hypergraph.from_edge_sets(m, edges))
+
+
+_C7_4_1 = generalized_power(cycle(7), 4, 1)[0]
+
+
+class TestNoCyclicGarbage:
+    # Every search is a loop over an explicit stack, with no recursive closure
+    # to leave a reference cycle behind, so a call leaves nothing for the
+    # cycle collector
+    @pytest.mark.parametrize("call", [
+        partial(domination_number, _C7_4_1),
+        partial(domination_number, _C7_4_1, lex_witness=False),
+        partial(transversal_number, _C7_4_1),
+        partial(matching_number, _C7_4_1),
+        partial(canonical_labeling, cycle(9)),
+    ], ids=["gamma", "gamma_value_only", "tau", "nu", "canonical_labeling"])
+    def test_search_leaves_no_cycles(self, call):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestBudget:
