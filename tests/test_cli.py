@@ -51,6 +51,19 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out)["result"]["value"] == 501
 
+    def test_invariant_witness_within_node_cap(self, capsys, tmp_path):
+        # a seeded G(50, 0.1): gamma 10 takes 13,342 value nodes and 12,915
+        # witness nodes, so the whole solve fits the cap
+        import random
+        rng = random.Random(7)
+        edges = [(u, v) for u in range(50) for v in range(u + 1, 50) if rng.random() < 0.1]
+        graph = tmp_path / "g50.el"
+        graph.write_text("n 50\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        code, out, _ = run_cli(capsys, "invariant", "--param", "gamma", "--graph", str(graph),
+                               "--node-cap", "50000", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["witness"] == [0, 3, 5, 8, 14, 18, 23, 26, 32, 40]
+
     def test_gen_and_reparse(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--family", "cycle:6", "--no-timestamp")
         assert code == 0

@@ -231,9 +231,12 @@ class TestWitnessRetry:
                                    for _suite, key, checks, certs, soft in rows if checks),
                                   key=lambda f: f.instance)
         assert 0 < len(failures) < len(tasks)
-        # the records differ from the first pass's, so the second pass is needed
-        assert any(_one_pass(task, False) != rows
-                   for task, rows in zip(tasks, with_witnesses) if any(r[2] for r in rows))
+        # the records differ from the first pass's, so the second pass is
+        # needed, except in the two suites whose failing rows' lexicographic
+        # witnesses are the sorted covers the value search found
+        differs = any(_one_pass(task, False) != rows
+                      for task, rows in zip(tasks, with_witnesses) if any(r[2] for r in rows))
+        assert differs == (next(iter(scales)) not in ("extremal-gamma0", "counterexample"))
 
     @_FAILING_SUITES
     @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])

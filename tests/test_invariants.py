@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 from functools import lru_cache, partial
 from itertools import combinations
 
@@ -281,7 +282,6 @@ class TestKeg:
 
 class TestHereditarySamples:
     def test_200_sampled_dilation_pairs(self):
-        import random
         from dilations.dilation import random_dilation
         rng = random.Random(314)
         pairs = 0
@@ -332,6 +332,9 @@ def _phases(cert):
     return cert.node_count - cert.witness_nodes, cert.witness_nodes
 
 
+_RNG = random.Random(7)
+_G50 = Graph.from_edges(50, [(u, v) for u in range(50) for v in range(u + 1, 50)
+                             if _RNG.random() < 0.1])  # 134 edges, connected
 _DISJOINT_EDGES = Hypergraph.from_edge_sets(2200, [[i, i + 1] for i in range(0, 2200, 2)])
 _ODD_FIRST_PATH = Hypergraph.from_edge_sets(
     1002, [[i, i + 1] for i in range(1, 1001, 2)] + [[i, i + 1] for i in range(0, 1001, 2)])
@@ -354,22 +357,23 @@ class TestNodeCounts:
                         value_nodes, witness_nodes = _phases(fn(x))
                         total[0] += value_nodes
                         total[1] += witness_nodes
-        assert totals[domination_number] == [981, 1743]
-        assert totals[transversal_number] == [1452, 2493]
+        assert totals[domination_number] == [981, 448]
+        assert totals[transversal_number] == [1452, 834]
         assert totals[matching_number] == [2005, 0]
 
     @pytest.mark.parametrize("fn, x, phases", [
-        (transversal_number, cycle(25), (3, 25)),
-        (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (9, 10)),
-        (domination_number, generalized_power(cycle(23), 4, 1)[0], (3, 23)),
+        (transversal_number, cycle(25), (3, 23)),
+        (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (9, 0)),
+        (domination_number, generalized_power(cycle(23), 4, 1)[0], (3, 21)),
         (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 0)),
         (matching_number, generalized_power(complete(12), 4, 1)[0], (1, 0)),
-        (domination_number, generalized_power(complete_minus_clique(6, 2), 4, 1)[0], (45, 76)),
-        # deep instances, each past Python's recursion limit: gamma 999, tau and
-        # gamma 1,100, and nu 501 after the greedy's 500 (odd edges listed first)
-        (domination_number, Hypergraph.from_edge_sets(1000, [[0, 999]]), (1, 1000)),
-        (transversal_number, _DISJOINT_EDGES, (1, 1101)),
-        (domination_number, _DISJOINT_EDGES, (1, 1101)),
+        (domination_number, generalized_power(complete_minus_clique(6, 2), 4, 1)[0], (45, 65)),
+        # large witnesses: gamma 999, tau and gamma 1,100, whose value search's
+        # cover settles every decision with no search; and nu 501 after the
+        # greedy's 500 (odd edges listed first), on a path 1,000 nodes deep
+        (domination_number, Hypergraph.from_edge_sets(1000, [[0, 999]]), (1, 0)),
+        (transversal_number, _DISJOINT_EDGES, (1, 0)),
+        (domination_number, _DISJOINT_EDGES, (1, 0)),
         (matching_number, _ODD_FIRST_PATH, (2003, 0)),
     ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1", "nu_K12_4_1",
             "gamma_K12_minus_edge_4_1", "gamma_m1000_one_edge", "tau_1100_disjoint_edges",
@@ -379,6 +383,19 @@ class TestNodeCounts:
         assert _phases(cert) == phases
         assert cert.to_json()["node_count"] == sum(phases)
         assert "witness_nodes" not in cert.to_json()
+
+    @pytest.mark.parametrize("fn, witness, phases", [
+        (domination_number, (0, 3, 5, 8, 14, 18, 23, 26, 32, 40), (13342, 12915)),
+        (transversal_number, (0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 15, 18, 19, 20, 22, 23, 24,
+                              26, 31, 32, 33, 36, 40, 42, 43, 44, 45, 47, 48, 49),
+         (6398, 3445)),
+    ], ids=["gamma", "tau"])
+    def test_witness_decisions_on_random_graph(self, fn, witness, phases):
+        # a walk over the covers in subset order took 457,194 (gamma) and
+        # 69,120 (tau) witness nodes here; the witnesses are pinned from it
+        cert = fn(_G50, node_cap=50_000)
+        assert cert.witness == witness
+        assert _phases(cert) == phases
 
     def test_exhaustive_mode_has_no_witness_phase(self):
         assert domination_number(cycle(5), mode="exhaustive").witness_nodes == 0
@@ -414,7 +431,6 @@ class TestCoverReductions:
         return len(_bits(universe)) - len(kept), len(dropped)
 
     def test_seeded_random_set_systems(self):
-        import random
         rng = random.Random(1998)
         drops = [0, 0]
         for _ in range(2000):
@@ -535,7 +551,6 @@ class TestNuCountingBound:
         self._check(x)
 
     def test_seeded_random_hypergraphs(self):
-        import random
         rng = random.Random(2718)
         for _ in range(600):
             m = rng.randint(1, 9)
@@ -584,6 +599,14 @@ class TestBudget:
         with pytest.raises(SearchBudgetExceeded) as info:
             domination_number(h, node_cap=10)
         assert info.value.node_count > 10
+
+    def test_cap_in_witness_decisions_reports_the_value(self):
+        # the value 10 is proven after 45 nodes; the cap falls in the witness
+        # decisions, whose searches look for covers of 10 sets
+        h, _ = generalized_power(complete_minus_clique(6, 2), 4, 1)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            domination_number(h, node_cap=50)
+        assert (info.value.best_bound, info.value.node_count) == (10, 51)
 
     def test_node_count_reported(self):
         cert = domination_number(cycle(6))
