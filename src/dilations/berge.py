@@ -2,9 +2,14 @@
 
 A hypergraph H hosts a copy of G when there is an injection of V(G) into
 V(H) and a bijection of E(G) onto E(H) such that each graph edge lands
-inside its image hyperedge. Verification is direct; search backtracks over
-vertex injections, pruning with a bipartite-matching feasibility test on the
-edge containment relation.
+inside its image hyperedge. Verification is direct. Search injects one graph
+vertex per level in a loop over an explicit stack, in the preorder a
+recursive search would visit, and prunes a node unless the containment
+relation still has a perfect matching. Graph edge uv may map to the
+hyperedges in incidence[x] & incidence[y] of H's cached incidence masks,
+where x and y are the images of u and v and an uninjected vertex stands for
+every edge. Neither the search nor the matching recurses, so every graph
+the package accepts (up to K64's 2,016 edges) is bounded by the node cap.
 """
 
 from __future__ import annotations
@@ -71,33 +76,51 @@ def verify_berge_witness(g: Graph, h: Hypergraph, w: BergeWitness) -> bool:
     return True
 
 
-def _max_matching(adjacency: list[list[int]], n_right: int) -> tuple[int, list[int]]:
-    """Kuhn's augmenting-path matching; returns (size, right->left assignment)."""
-    match_right = [-1] * n_right
+def _perfect_matching(rows: list[int]) -> Optional[tuple[int, ...]]:
+    """A perfect matching of a square relation, left i to a right in the
+    bitmask rows[i], as the right of each left; None if there is none.
 
-    def augment(left: int, seen: list[bool]) -> bool:
-        for r in adjacency[left]:
-            if not seen[r]:
-                seen[r] = True
-                if match_right[r] == -1 or augment(match_right[r], seen):
-                    match_right[r] = left
-                    return True
-        return False
-
-    size = 0
-    for left in range(len(adjacency)):
-        if augment(left, [False] * n_right):
-            size += 1
-    return size, match_right
+    Kuhn's augmenting paths (Kuhn 1955), each kept on an explicit stack: the
+    lefts are matched in order, each path tries rights in increasing order,
+    and the first left with no augmenting path ends the search, since no
+    later path can match it."""
+    owner = [-1] * len(rows)  # the left matched to each right
+    for left, untried in enumerate(rows):
+        seen = 0
+        path = []  # (left, its untried rights, the right it passes on) per step
+        while True:
+            untried &= ~seen
+            if not untried:
+                if not path:
+                    return None
+                left, untried, _ = path.pop()
+                continue
+            bit = untried & -untried
+            seen |= bit
+            right = bit.bit_length() - 1
+            if owner[right] == -1:
+                break
+            path.append((left, untried ^ bit, right))
+            left = owner[right]
+            untried = rows[left]
+        owner[right] = left
+        for left, _, right in path:
+            owner[right] = left
+    matched = [0] * len(rows)
+    for right, left in enumerate(owner):
+        matched[left] = right
+    return tuple(matched)
 
 
 def search_berge_witness(g: Graph, h: Hypergraph,
                          node_cap: int = DEFAULT_NODE_CAP) -> Optional[BergeWitness]:
     """Find a verified Berge witness, or return None when none exists.
 
-    Backtracks over vertex injections in descending graph-degree order; a
-    partial injection survives only if the graph-edge / hyperedge containment
-    relation still admits a perfect matching.
+    Injects the graph vertices in descending graph-degree order, each into
+    the host vertices in increasing order; a partial injection survives only
+    if the graph-edge / hyperedge containment relation still admits a
+    perfect matching. A node is (injection, depth), with -1 for a vertex not
+    yet injected.
     """
     if g.edge_count != h.edge_count:
         raise StructuralError(
@@ -105,67 +128,37 @@ def search_berge_witness(g: Graph, h: Hypergraph,
     if g.n > h.m:
         return None
     edges = g.edges()
-    n_edges = len(edges)
-    h_degrees = [h.degree(x) for x in range(h.m)]
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    injection = [-1] * g.n
-    used = [False] * h.m
+    incidence = h.incidence()
+    every_edge = (1 << h.edge_count) - 1  # what an uninjected vertex may lie in
+    degrees = [mask.bit_count() for mask in incidence]
+    order = [v for _, v in sorted((-g.degree(v), v) for v in range(g.n))]
     nodes = 0
-
-    def feasible() -> Optional[list[int]]:
-        compat: list[list[int]] = []
-        for (u, v) in edges:
-            row = []
-            for j, mask in enumerate(h.edge_masks):
-                if injection[u] != -1 and not (mask >> injection[u] & 1):
-                    continue
-                if injection[v] != -1 and not (mask >> injection[v] & 1):
-                    continue
-                row.append(j)
-            if not row:
-                return None
-            compat.append(row)
-        size, match_right = _max_matching(compat, n_edges)
-        if size < n_edges:
-            return None
-        assignment = [-1] * n_edges
-        for j, left in enumerate(match_right):
-            if left != -1:
-                assignment[left] = j
-        return assignment
-
-    def backtrack(pos: int) -> Optional[BergeWitness]:
-        nonlocal nodes
+    stack = [((-1,) * g.n, 0)]
+    while stack:
+        injection, depth = stack.pop()
         nodes += 1
         if nodes > node_cap:
-            partial = {order[i]: injection[order[i]] for i in range(pos)}
+            partial = {v: injection[v] for v in order[:depth]}
             raise SearchBudgetExceeded(
-                f"berge search exceeded {node_cap} nodes at depth {pos};"
+                f"berge search exceeded {node_cap} nodes at depth {depth};"
                 f" partial injection {partial}",
                 node_count=nodes)
-        assignment = feasible()
-        if assignment is None:
-            return None
-        if pos == g.n:
-            witness = BergeWitness(tuple(injection), tuple(assignment))
+        masks = [every_edge if x == -1 else incidence[x] for x in injection]
+        edge_map = _perfect_matching([masks[u] & masks[v] for u, v in edges])
+        if edge_map is None:
+            continue
+        if depth == g.n:
+            witness = BergeWitness(injection, edge_map)
             if not verify_berge_witness(g, h, witness):
                 raise RuntimeError("internal error: search produced an invalid witness")
             return witness
-        v = order[pos]
+        v = order[depth]
         need = g.degree(v)
-        for x in range(h.m):
-            if used[x] or h_degrees[x] < need:
-                continue
-            injection[v] = x
-            used[x] = True
-            found = backtrack(pos + 1)
-            injection[v] = -1
-            used[x] = False
-            if found is not None:
-                return found
-        return None
-
-    return backtrack(0)
+        used = set(injection)
+        for x in reversed(range(h.m)):
+            if x not in used and degrees[x] >= need:
+                stack.append((injection[:v] + (x,) + injection[v + 1:], depth + 1))
+    return None
 
 
 def random_berge(g: Graph, k: int, seed: int, pool: int = 4) -> tuple[Hypergraph, BergeWitness]:

@@ -490,29 +490,37 @@ _FAMILIES = {
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse the mini-grammar ``name:arg1,arg2`` with nesting for corona."""
-    s = text.strip()
-    name, colon, rest = s.partition(":")
-    name = name.strip()
-    if name == "corona":
+    """Parse the mini-grammar ``name:arg1,arg2`` with nesting for corona.
+
+    Each corona doubles the vertex count, so more than six of them would
+    build a graph over MAX_VERTICES even from one vertex; they raise
+    CapacityError before anything is built."""
+    coronas = 0
+    name, colon, rest = text.strip().partition(":")
+    while name.strip() == "corona":
         if not rest:
             raise ParseError("corona requires a base family, e.g. corona:cycle:3")
-        return FamilySpec("corona", base=parse_family(rest))
+        coronas += 1
+        if 1 << coronas > MAX_VERTICES:
+            raise CapacityError(f"more than {coronas - 1} nested coronas would build"
+                                f" a graph over {MAX_VERTICES} vertices")
+        name, colon, rest = rest.strip().partition(":")
+    name = name.strip()
     if name not in _FAMILIES:
         raise ParseError(f"unknown family {name!r}")
     arity = _FAMILIES[name][1]
-    if arity == 0:
-        if colon:
-            raise ParseError(f"family {name!r} takes no parameters")
-        return FamilySpec(name)
+    if arity == 0 and colon:
+        raise ParseError(f"family {name!r} takes no parameters")
     parts = rest.split(",") if rest else []
     if len(parts) != arity:
         raise ParseError(f"family {name!r} takes {arity} parameter(s), got {len(parts)}")
     try:
-        args = tuple(int(p) for p in parts)
+        spec = FamilySpec(name, tuple(int(p) for p in parts))
     except ValueError:
         raise ParseError(f"family {name!r} parameters must be integers") from None
-    return FamilySpec(name, args)
+    for _ in range(coronas):
+        spec = FamilySpec("corona", base=spec)
+    return spec
 
 
 def generate(spec: FamilySpec) -> Graph:

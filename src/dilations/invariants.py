@@ -20,7 +20,7 @@ can only be dominated by itself and is therefore forced into every
 dominating set.
 
 Both covering problems, gamma and tau, go through one minimum set cover
-search, whose set-up takes four steps, none of which changes the value, the
+search, whose set-up takes three steps, none of which changes the value, the
 witness or the nodes the search visits:
 1. Drop dominated elements (the classic set-cover reduction; Weihe 1998,
    Fomin, Grandoni & Kratsch 2009): an element whose coverer set contains
@@ -32,11 +32,10 @@ witness or the nodes the search visits:
    instance is vertex cover of G, which is how gamma(H) = tau(G) shows in the
    search. The feasible covers are unchanged, and a minimum cover never holds
    a set that adds nothing to the reduced universe.
-2. Take the greedy cover as the first incumbent.
-3. If the packing bound (below) of the whole reduced universe reaches the
-   greedy's size, the search would prune its root, so a value-only solve
-   returns the greedy cover there, in one node.
-4. Drop dominated sets: a set whose restriction to the reduced universe is
+2. Take the greedy cover as the first incumbent. If the packing bound
+   (below) of the whole reduced universe reaches its size, the search prunes
+   its root and returns it, in one node.
+3. Drop dominated sets: a set whose restriction to the reduced universe is
    empty, or lies inside the restriction of a lower-index set. A cover
    holding such a set stays a cover when the set is swapped for its
    dominator, and the result is smaller, or as small and lexicographically
@@ -267,9 +266,6 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
         best_cover.append(best_s)
         uncovered &= ~cover_masks[best_s]
     best_value = len(best_cover)
-    if not lex_witness and _packing_bound(union_masks, universe) >= best_value:
-        budget.tick(best_value)  # the root, which the bound prunes
-        return tuple(sorted(best_cover))
     dropped = _dominated_sets(cover_masks, coverer_masks, universe)
     # branching order: fewest coverers first, then lowest index
     order = [e for _, e in sorted([((coverer_masks[e] & ~dropped).bit_count(), e)

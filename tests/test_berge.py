@@ -1,12 +1,13 @@
 import inspect
 import random
 
+import networkx as nx
 import pytest
 
-from dilations.berge import (BergeWitness, natural_berge_witness, random_berge,
-                             search_berge_witness, verify_berge_witness)
+from dilations.berge import (BergeWitness, _perfect_matching, natural_berge_witness,
+                             random_berge, search_berge_witness, verify_berge_witness)
 from dilations.dilation import random_dilation
-from dilations.errors import StructuralError
+from dilations.errors import SearchBudgetExceeded, StructuralError
 from dilations.graphs import Graph, complete, cycle, path
 from dilations.hypergraphs import Hypergraph, builtin_hypergraph
 from dilations.invariants import (DEFAULT_NODE_CAP, domination_number, is_keg,
@@ -123,6 +124,41 @@ class TestSearch:
             w = search_berge_witness(g, h)
             assert (w is not None) == brute_berge_exists(g, h)
             done += 1
+
+    def test_complete_graph_past_the_recursion_limit(self):
+        # the root's matching follows augmenting paths over K46's 1,035 edges
+        g = complete(46)
+        with pytest.raises(SearchBudgetExceeded, match="exceeded 1 nodes at depth 1"):
+            search_berge_witness(g, Hypergraph.from_graph(g), node_cap=1)
+
+
+class TestPerfectMatching:
+    def test_agrees_with_networkx_on_random_relations(self):
+        rng = random.Random(53)
+        perfect = 0
+        for _ in range(600):
+            n = rng.randint(0, 12)
+            p = rng.choice((0.1, 0.2, 0.3, 0.5))
+            rows = [sum(1 << r for r in range(n) if rng.random() < p) for _ in range(n)]
+            b = nx.Graph()
+            b.add_nodes_from(range(2 * n))
+            b.add_edges_from((i, n + r) for i, row in enumerate(rows)
+                             for r in range(n) if row >> r & 1)
+            expected = len(nx.bipartite.hopcroft_karp_matching(b, top_nodes=range(n))) == 2 * n
+            matched = _perfect_matching(rows)
+            assert (matched is not None) == expected, rows
+            if matched is not None:
+                assert sorted(matched) == list(range(n))
+                assert all(row >> r & 1 for row, r in zip(rows, matched))
+                perfect += 1
+        assert 0 < perfect < 600
+
+    def test_all_ones_relation_of_1100(self):
+        # each left takes right 0 by an augmenting path through every left
+        # before it, which moves each of them one right up: a path of 1,099
+        # steps, past Python's default recursion limit
+        n = 1100
+        assert _perfect_matching([(1 << n) - 1] * n) == tuple(range(n - 1, -1, -1))
 
 
 class TestRandomBerge:

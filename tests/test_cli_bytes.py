@@ -137,11 +137,16 @@ CASES = [
      {"text": "eb51a466d757686b", "json": "eb51a466d757686b", "csv": "eb51a466d757686b"}),
     ("verify extremal-gamma0 --max-n 4 --seed 0",
      {"text": "e3e3fb2794202ce7", "json": "e3e3fb2794202ce7", "csv": "e3e3fb2794202ce7"}),
+    # a seventh corona doubles even one vertex past 64; rejected at parse time
+    ("gen --family corona:corona:corona:corona:corona:corona:corona:path:1",
+     {"text": "e9666e6d6995703c", "json": "e9666e6d6995703c", "csv": "e9666e6d6995703c"}),
     # node-cap timeouts: exit 3
     ("invariant --param tau --family complete_minus_clique:4,2 --node-cap 3",
      {"text": "3dc53cd8554ffacf", "json": "3dc53cd8554ffacf", "csv": "3dc53cd8554ffacf"}),
     ("invariant --param gamma --family cycle:9 --mode exhaustive --node-cap 5",
      {"text": "d73e9988f7703107", "json": "d73e9988f7703107", "csv": "d73e9988f7703107"}),
+    ("berge search --family cycle:7 --hypergraph fano --node-cap 3",
+     {"text": "d9d65d3154ae508f", "json": "d9d65d3154ae508f", "csv": "d9d65d3154ae508f"}),
 ]
 
 

@@ -243,6 +243,13 @@ class TestGenerators:
             with pytest.raises(ParseError):
                 parse_family(text)
 
+    def test_nested_coronas_capped_at_parse_time(self):
+        # each corona doubles n, so six of them take one vertex to 64
+        assert generate(parse_family("corona:" * 6 + "path:1")).n == 64
+        for depth in (7, 1200):
+            with pytest.raises(CapacityError, match="more than 6 nested coronas"):
+                parse_family("corona:" * depth + "path:1")
+
     def test_family_spec_str_round_trip(self):
         for text in ["cycle:7", "g_nr:5,2", "corona:path:3", "t1",
                      "complete_bipartite:2,3"]:

@@ -466,27 +466,6 @@ class TestCoverReductions:
                     for parameter in ("gamma", "tau"):
                         self._check(*_cover_system(h, parameter))
 
-    def test_set_dominance_only_when_the_root_branches(self, monkeypatch):
-        # a value-only solve whose root the packing bound prunes returns the
-        # greedy cover before set dominance
-        calls = []
-        real = invariants._dominated_sets
-
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(invariants, "_dominated_sets", counted)
-        solves = branched = 0
-        for n in range(2, 7):
-            for g in enumerate_connected(n):
-                h, _ = generalized_power(g, 4, 2)
-                for fn in (domination_number, transversal_number):
-                    solves += 1
-                    branched += fn(h, lex_witness=False).node_count > 1
-        assert len(calls) == branched
-        assert 0 < branched < solves
-
 
 class TestValueOnly:
     # lex_witness=False stops after the value search: same value, a witness
