@@ -44,7 +44,10 @@ class Hypergraph:
     @classmethod
     def from_graph(cls, g: Graph) -> "Hypergraph":
         """The graph viewed as a 2-uniform hypergraph; edges in sorted pair order."""
-        return cls.from_edge_sets(g.n, g.edges())
+        edges = g.edges()
+        h = cls(g.n, [1 << u | 1 << v for u, v in edges])
+        object.__setattr__(h, "_vertex_lists", tuple(edges))  # each pair is sorted
+        return h
 
     @property
     def edge_count(self) -> int:

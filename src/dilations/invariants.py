@@ -17,7 +17,9 @@ not by Python's recursion limit.
 Domination uses co-occurrence adjacency: two hypergraph vertices are
 adjacent when some hyperedge contains both. A vertex lying in no hyperedge
 can only be dominated by itself and is therefore forced into every
-dominating set.
+dominating set. On a Graph the closed neighbourhood N[v] is v's adjacency row
+plus v, so gamma reads its cover instance from the rows and builds no
+hypergraph; the instance is the one the graph's 2-uniform hypergraph gives.
 
 Both covering problems, gamma and tau, go through one minimum set cover
 search, whose set-up takes three steps, none of which changes the value, the
@@ -50,7 +52,11 @@ The cover search has one branching rule, the minimum-remaining-values choice
 of Knuth's Algorithm X: branch on the uncovered element with the fewest
 coverers (lowest index on ties), and try its coverers by uncovered gain, then
 by index. For gamma the coverers of v are N[v]; for tau they are the vertices
-of the edge, so on a graph tau branches on the lowest uncovered edge. Each
+of the edge, so on a graph tau branches on the lowest uncovered edge. The
+set-up groups the reduced elements by their number of coverers that set
+dominance keeps, one mask per count, fewest first; a node ANDs these masks
+with its uncovered elements in turn and branches on the lowest bit of the
+first that is not empty, which is the least (count, index) pair. Each
 node is bounded by a greedy packing of uncovered elements no two of which
 share a coverer, since each of them needs a set of its own. The packing drops
 each chosen element's whole union mask at once, an exact rewrite of the plain
@@ -71,8 +77,10 @@ that lie in two or more edges. Pairwise disjoint edges hold disjoint sets of
 them, so a packing has at most the lonely candidates (edges with no shared
 vertex, which meet no other edge) plus the shared vertices the other
 candidates meet, divided by the fewest shared vertices of any edge that is not
-lonely. Every edge of a dilation holds two disjoint copy blocks, which is why
-nu(H) = nu(G), and on cliques this count alone settles the search: nu on
+lonely. The set-up lists the incidence mask of each shared vertex, the edges
+that hold it, none of them lonely; a node counts the masks that meet its
+candidates. Every edge of a dilation holds two disjoint copy blocks, which is
+why nu(H) = nu(G), and on cliques this count alone settles the search: nu on
 K12^(4,1) takes one value node, where the bound below alone took 25,103. When
 the count does not prune, the node is bounded by a greedy transversal of the
 candidates (the packing side of covering/packing duality): take the lowest
@@ -267,9 +275,15 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
         uncovered &= ~cover_masks[best_s]
     best_value = len(best_cover)
     dropped = _dominated_sets(cover_masks, coverer_masks, universe)
-    # branching order: fewest coverers first, then lowest index
-    order = [e for _, e in sorted([((coverer_masks[e] & ~dropped).bit_count(), e)
-                                   for e in _mask_to_list(universe)])]
+    # the branching order: one mask of elements per count of coverers not
+    # dropped, fewest first
+    by_count = [0] * (len(cover_masks) + 1)
+    m = universe
+    while m:
+        low = m & -m
+        m ^= low
+        by_count[(coverer_masks[low.bit_length() - 1] & ~dropped).bit_count()] |= low
+    classes = [c for c in by_count if c]
 
     def search(root, best_value, best_cover, first):
         """Among the covers extending `chosen` and avoiding `forbidden` (a node
@@ -292,9 +306,11 @@ def _min_cover(cover_masks: list[int], coverer_masks: list[int],
                 continue
             if len(chosen) + _packing_bound(union_masks, uncovered) >= limit:
                 continue
-            for e in order:
-                if uncovered >> e & 1:
+            for c in classes:
+                c &= uncovered
+                if c:
                     break
+            e = (c & -c).bit_length() - 1
             usable = []
             c = coverer_masks[e] & ~forbidden
             while c:
@@ -384,11 +400,13 @@ def domination_number(x: Instance, mode: str = "branch_and_bound",
 
     With lex_witness=False the witness is the optimal cover the value search
     found, not the lexicographically smallest one."""
-    h = _as_hypergraph(x)
-    nbhd = h.closed_neighborhoods()
+    if isinstance(x, Graph):
+        nbhd = [row | 1 << v for v, row in enumerate(x.adj)]
+    else:
+        nbhd = x.closed_neighborhoods()
     # u dominates v iff u in N[v], and co-occurrence is symmetric, so N[v] is
     # both what v covers and the set of v's coverers
-    return _solve_cover("gamma", nbhd, nbhd, (1 << h.m) - 1, mode, node_cap, lex_witness)
+    return _solve_cover("gamma", nbhd, nbhd, (1 << len(nbhd)) - 1, mode, node_cap, lex_witness)
 
 
 # -- tau ----------------------------------------------------------------------
@@ -431,17 +449,17 @@ def _max_packing(h: Hypergraph, budget: _Budget) -> tuple[int, ...]:
             lonely |= 1 << i
         elif s < share:
             share = s
+    # per shared vertex, the edges that hold it; none of them is lonely
+    shared_incidence = [incidence[v] for v in _mask_to_list(shared)]
 
     def bound(cands: int, limit: int) -> int:
         # counting bound: pairwise disjoint edges hold disjoint sets of shared
         # vertices, at least `share` each unless lonely
         met = 0
-        m = cands & ~lonely
-        while m:
-            low = m & -m
-            met |= masks[low.bit_length() - 1]
-            m ^= low
-        count = (cands & lonely).bit_count() + (met & shared).bit_count() // share
+        for edges in shared_incidence:
+            if edges & cands:
+                met += 1
+        count = (cands & lonely).bit_count() + met // share
         if count < limit:
             return count
         # greedy transversal of the candidate edges: pairwise disjoint edges

@@ -332,9 +332,14 @@ def _phases(cert):
     return cert.node_count - cert.witness_nodes, cert.witness_nodes
 
 
-_RNG = random.Random(7)
-_G50 = Graph.from_edges(50, [(u, v) for u in range(50) for v in range(u + 1, 50)
-                             if _RNG.random() < 0.1])  # 134 edges, connected
+def _gnp(n, p):
+    rng = random.Random(7)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p])
+
+
+_G50 = _gnp(50, 0.1)  # 134 edges, connected
+_G64 = _gnp(64, 0.08)  # tau 37, gamma 13
 _DISJOINT_EDGES = Hypergraph.from_edge_sets(2200, [[i, i + 1] for i in range(0, 2200, 2)])
 _ODD_FIRST_PATH = Hypergraph.from_edge_sets(
     1002, [[i, i + 1] for i in range(1, 1001, 2)] + [[i, i + 1] for i in range(0, 1001, 2)])
@@ -375,9 +380,15 @@ class TestNodeCounts:
         (transversal_number, _DISJOINT_EDGES, (1, 0)),
         (domination_number, _DISJOINT_EDGES, (1, 0)),
         (matching_number, _ODD_FIRST_PATH, (2003, 0)),
+        # large enough that finding each node's branch element shows in the time
+        (transversal_number, _G64, (14090, 14317)),
+        (domination_number, _G64, (20997, 18790)),
+        # the shared-vertex count prunes below the root: 1,057 nodes without it
+        (matching_number, _gnp(18, 0.3), (21, 0)),
     ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1", "nu_K12_4_1",
             "gamma_K12_minus_edge_4_1", "gamma_m1000_one_edge", "tau_1100_disjoint_edges",
-            "gamma_1100_disjoint_edges", "nu_path_1002_odd_edges_first"])
+            "gamma_1100_disjoint_edges", "nu_path_1002_odd_edges_first", "tau_G64_0_08",
+            "gamma_G64_0_08", "nu_G18_0_3"])
     def test_named_instances(self, fn, x, phases):
         cert = fn(x)
         assert _phases(cert) == phases
@@ -489,6 +500,43 @@ class TestValueOnly:
         for fn in (domination_number, transversal_number):
             assert fn(cycle(7), mode="exhaustive", lex_witness=False) == fn(
                 cycle(7), mode="exhaustive")
+
+
+def _seeded_graphs():
+    """n = 0 and n = 1, then seeded random graphs whose edges avoid a random
+    set of vertices, which stay isolated."""
+    yield Graph(0, [])
+    yield Graph(1, [0])
+    rng = random.Random(2929)
+    for _ in range(200):
+        n = rng.randint(2, 16)
+        p = rng.choice([0.15, 0.3, 0.6])
+        touched = set(rng.sample(range(n), rng.randint(1, n)))
+        yield Graph.from_edges(n, [(u, v) for u, v in combinations(sorted(touched), 2)
+                                   if rng.random() < p])
+
+
+class TestGraphInput:
+    # gamma on a Graph reads N[v] from the adjacency rows, and from_graph
+    # fills its vertex lists from the edge pairs; every solve on a Graph must
+    # give the certificate of its hypergraph, node counts included. That
+    # hypergraph is built from the edge sets, so its lists come from its masks.
+    def test_certificates_match_the_hypergraph(self):
+        isolated = 0
+        for g in _seeded_graphs():
+            h = Hypergraph.from_edge_sets(g.n, g.edges())
+            isolated += 0 in g.degrees()
+            for fn in (domination_number, transversal_number):
+                assert fn(g) == fn(h)
+                assert fn(g, lex_witness=False) == fn(h, lex_witness=False)
+            assert matching_number(g) == matching_number(h)
+        assert isolated > 20
+
+    def test_vertex_lists_are_those_of_the_masks(self):
+        for g in _seeded_graphs():
+            h = Hypergraph.from_graph(g)
+            assert h.vertex_lists() == tuple(tuple(sorted(_bits(e))) for e in h.edge_masks)
+            assert h == Hypergraph.from_edge_sets(g.n, g.edges())
 
 
 class TestNuCountingBound:
