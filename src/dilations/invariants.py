@@ -22,8 +22,8 @@ plus v, so gamma reads its cover instance from the rows and builds no
 hypergraph; the instance is the one the graph's 2-uniform hypergraph gives.
 
 Both covering problems, gamma and tau, go through one minimum set cover
-search, whose set-up takes three steps, none of which changes the value, the
-witness or the nodes the search visits:
+search, except tau on a graph instance (below). Its set-up takes three steps,
+none of which changes the value, the witness or the nodes the search visits:
 1. Drop dominated elements (the classic set-cover reduction; Weihe 1998,
    Fomin, Grandoni & Kratsch 2009): an element whose coverer set contains
    another element's is covered whenever that other element is, and of two
@@ -52,11 +52,11 @@ The cover search has one branching rule, the minimum-remaining-values choice
 of Knuth's Algorithm X: branch on the uncovered element with the fewest
 coverers (lowest index on ties), and try its coverers by uncovered gain, then
 by index. For gamma the coverers of v are N[v]; for tau they are the vertices
-of the edge, so on a graph tau branches on the lowest uncovered edge. The
-set-up groups the reduced elements by their number of coverers that set
-dominance keeps, one mask per count, fewest first; a node ANDs these masks
-with its uncovered elements in turn and branches on the lowest bit of the
-first that is not empty, which is the least (count, index) pair. Each
+of the edge. The set-up groups the reduced elements by their number of
+coverers that set dominance keeps, one mask per count, fewest first; a node
+ANDs these masks with its uncovered elements in turn and branches on the
+lowest bit of the first that is not empty, which is the least (count, index)
+pair. Each
 node is bounded by a greedy packing of uncovered elements no two of which
 share a coverer, since each of them needs a set of its own. The packing drops
 each chosen element's whole union mask at once, an exact rewrite of the plain
@@ -69,6 +69,41 @@ forbidden or covers nothing uncovered; else the value search runs from the
 node that takes it, and if it finds a cover of the optimal size, that cover
 becomes W and the set is taken, and if not, the set is forbidden. On a seeded
 G(50, 0.1) gamma's pass takes 12,915 nodes, a walk in subset order 457,194.
+
+Tau on a graph instance runs its own search. A vertex set meets every edge of
+a graph iff the other vertices are independent, so tau = n - alpha, and the
+minimum covers are the complements of the maximum independent sets. A graph
+instance is a Graph, or a hypergraph with at most MAX_VERTICES vertices whose
+every edge has two (repeats allowed); exhaustive mode, and every other
+instance, keep the cover search. The limit is the graph core's: each node of
+this search walks the adjacency rows of its candidates, and its witness phase
+takes a node per vertex, while the cover search settles 1,100 disjoint edges
+on 2,200 vertices at its root in 0.2 s, where this search takes 2,202 nodes
+and 0.4 s. Both phases are stack loops over candidate masks, and both bound a
+node by a greedy clique cover of its candidates (Tomita & Kameda 2007; San
+Segundo, Rodríguez-Losada & Jiménez 2011): grow a clique from the lowest
+candidate by the lowest common neighbour, remove it, repeat. An independent
+set meets each clique at most once.
+- The value phase relabels the vertices once by ascending degree (index on
+  ties), starts from the greedy independent set of that order, which is its
+  first leaf, and branches include first on the lowest candidate. A branch
+  vertex with at most one candidate neighbour gets no exclude child: a
+  maximum set without it holds that neighbour (else it could add the
+  vertex), and swapping the two keeps it maximum.
+- The witness phase finds the lexicographically smallest minimum cover with
+  no self-reduction. For covers C1, C2 of one size, C1 < C2 iff
+  min(C1 Δ C2) is in C1; their complements I1, I2 have the same symmetric
+  difference, so that holds iff I2 < I1. The phase branches exclude first on
+  the lowest candidate in index order, prunes a node whose count plus bound
+  is below alpha, and stops at the first set of size alpha: the
+  lexicographically largest maximum independent set. Each node carries its
+  candidates also in the degree order, where the bound is taken. An isolated
+  branch vertex gets no exclude child, since a set without it has room for
+  it; its one child passes the bound as its parent did (the vertex is a
+  clique of its own and leaves the others as they were), so the loop takes a
+  run of such vertices without bounding them.
+On a seeded G(64, 0.2) the cover search took 197,491 value and 52,664 witness
+nodes (1.2 s), and this search takes 2,325 and 160 (0.015 s).
 
 The nu search keeps its candidates as one bitmask over the edges and branches
 on the lowest candidate: take it, which drops every edge meeting it, or drop
@@ -109,7 +144,7 @@ from itertools import combinations
 from typing import Union
 
 from .errors import DomainError, SearchBudgetExceeded
-from .graphs import Graph, _mask, _mask_to_list
+from .graphs import MAX_VERTICES, Graph, _mask, _mask_to_list, _relabel_rows
 from .hypergraphs import Hypergraph
 
 DEFAULT_NODE_CAP = 10**8
@@ -128,7 +163,9 @@ class Certificate:
     node_count is every search node; witness_nodes is the part of it spent
     by the searches that decide the gamma/tau witness after the value was
     known (0 for nu, whose value search finds the witness, 0 with
-    lex_witness=False, and 0 in exhaustive mode).
+    lex_witness=False, and 0 in exhaustive mode). For tau on a graph
+    instance, witness_nodes are the nodes of the independent-set search's
+    witness phase.
     """
 
     parameter: str  # "gamma" | "nu" | "tau"
@@ -411,11 +448,117 @@ def domination_number(x: Instance, mode: str = "branch_and_bound",
 
 # -- tau ----------------------------------------------------------------------
 
+def _graph_rows(x: Instance):
+    """The adjacency rows of a graph instance: a Graph, or a hypergraph with
+    at most MAX_VERTICES vertices whose every edge has two; else None."""
+    if isinstance(x, Graph):
+        return x.adj
+    if x.m > MAX_VERTICES or any(e.bit_count() != 2 for e in x.edge_masks):
+        return None
+    rows = [0] * x.m
+    for u, v in x.vertex_lists():
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def _clique_cover(rows, cands: int, limit: int) -> int:
+    """Greedy count of cliques that cover `cands`, stopped at `limit`.
+
+    Each clique grows from the lowest vertex left by the lowest common
+    neighbour; an independent set meets each clique at most once."""
+    count = 0
+    while cands and count < limit:
+        clique = cands & -cands
+        common = cands & rows[clique.bit_length() - 1]
+        while common:
+            bit = common & -common
+            clique |= bit
+            common &= rows[bit.bit_length() - 1]
+        cands &= ~clique
+        count += 1
+    return count
+
+
+def _max_independent_set(rows, budget: _Budget, lex_witness: bool) -> int:
+    """A maximum independent set, as a mask: the lexicographically largest
+    if `lex_witness`, else the one the value phase found."""
+    n = len(rows)
+    full = (1 << n) - 1
+    if not any(rows):
+        return full
+    order = sorted(range(n), key=lambda v: (rows[v].bit_count(), v))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    drows = _relabel_rows(rows, pos)
+    # the greedy set in degree order is the value phase's first leaf
+    best, cands = 0, full
+    while cands:
+        low = cands & -cands
+        best |= low
+        cands &= ~(drows[low.bit_length() - 1] | low)
+    alpha = best.bit_count()
+    stack = [(full, 0, 0)]  # (candidates, chosen, count), relabelled
+    while stack:
+        cands, chosen, count = stack.pop()
+        budget.tick(n - alpha)
+        if not cands:
+            if count > alpha:
+                best, alpha = chosen, count
+            continue
+        if count + _clique_cover(drows, cands, alpha - count + 1) <= alpha:
+            continue
+        low = cands & -cands
+        nbrs = drows[low.bit_length() - 1] & cands
+        if nbrs & (nbrs - 1):  # with one neighbour or none, a maximum set takes it
+            stack.append((cands ^ low, chosen, count))
+        stack.append((cands & ~(nbrs | low), chosen | low, count + 1))
+    if not lex_witness:
+        return _mask(order[i] for i in _mask_to_list(best))
+
+    # the first set of size alpha in exclude-first index order; the bound
+    # reads the degree-ordered copy of the candidates
+    budget.start_witness()
+    stack = [(full, full, 0, 0)]  # (candidates, relabelled candidates, chosen, count)
+    while stack:
+        cands, dcands, chosen, count = stack.pop()
+        budget.tick(n - alpha)
+        if count + _clique_cover(drows, dcands, alpha - count) < alpha:
+            continue
+        # a run of isolated branch vertices: one include child each, bounded
+        # as this node was
+        while count < alpha:
+            low = cands & -cands
+            v = low.bit_length() - 1
+            if rows[v] & cands:
+                break
+            cands ^= low
+            dcands ^= 1 << pos[v]
+            chosen |= low
+            count += 1
+            budget.tick(n - alpha)
+        if count == alpha:
+            break
+        dlow = 1 << pos[v]
+        stack.append((cands & ~(rows[v] | low), dcands & ~(drows[pos[v]] | dlow),
+                      chosen | low, count + 1))
+        stack.append((cands ^ low, dcands ^ dlow, chosen, count))
+    return chosen
+
+
 def transversal_number(x: Instance, mode: str = "branch_and_bound",
                        node_cap: int = DEFAULT_NODE_CAP, *,
                        lex_witness: bool = True) -> Certificate:
     """Minimum set of vertices meeting every hyperedge; lex_witness as for
     domination_number."""
+    rows = _graph_rows(x) if mode == "branch_and_bound" else None
+    if rows is not None:
+        budget = _Budget(node_cap)
+        independent = _max_independent_set(rows, budget, lex_witness)
+        witness = tuple(_mask_to_list((1 << len(rows)) - 1 & ~independent))
+        return Certificate("tau", len(witness), witness, mode, budget.nodes,
+                           budget.witness_nodes)
     h = _as_hypergraph(x)
     # the vertices of edge i are the sets that cover element i
     return _solve_cover("tau", h.incidence(), h.edge_masks, (1 << h.edge_count) - 1,
@@ -574,7 +717,6 @@ class KegVerdict:
 
 def is_keg(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> KegVerdict:
     """König-Egerváry test: transversal number equals matching number."""
-    h = Hypergraph.from_graph(g)
-    tau = transversal_number(h, node_cap=node_cap)
-    nu = matching_number(h, node_cap=node_cap)
+    tau = transversal_number(g, node_cap=node_cap)
+    nu = matching_number(g, node_cap=node_cap)
     return KegVerdict(tau.value == nu.value, tau, nu)

@@ -4,6 +4,7 @@ import random
 from functools import lru_cache, partial
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -332,8 +333,8 @@ def _phases(cert):
     return cert.node_count - cert.witness_nodes, cert.witness_nodes
 
 
-def _gnp(n, p):
-    rng = random.Random(7)
+def _gnp(n, p, seed=7):
+    rng = random.Random(seed)
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                 if rng.random() < p])
 
@@ -363,25 +364,27 @@ class TestNodeCounts:
                         total[0] += value_nodes
                         total[1] += witness_nodes
         assert totals[domination_number] == [981, 448]
-        assert totals[transversal_number] == [1452, 834]
+        assert totals[transversal_number] == [1138, 1470]
         assert totals[matching_number] == [2005, 0]
 
     @pytest.mark.parametrize("fn, x, phases", [
-        (transversal_number, cycle(25), (3, 23)),
+        (transversal_number, cycle(25), (3, 26)),  # (3, 23) by the cover search
         (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (9, 0)),
         (domination_number, generalized_power(cycle(23), 4, 1)[0], (3, 21)),
         (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 0)),
         (matching_number, generalized_power(complete(12), 4, 1)[0], (1, 0)),
         (domination_number, generalized_power(complete_minus_clique(6, 2), 4, 1)[0], (45, 65)),
         # large witnesses: gamma 999, tau and gamma 1,100, whose value search's
-        # cover settles every decision with no search; and nu 501 after the
+        # cover settles every decision with no search (2,200 vertices keep tau
+        # on the cover search, past MAX_VERTICES); and nu 501 after the
         # greedy's 500 (odd edges listed first), on a path 1,000 nodes deep
         (domination_number, Hypergraph.from_edge_sets(1000, [[0, 999]]), (1, 0)),
         (transversal_number, _DISJOINT_EDGES, (1, 0)),
         (domination_number, _DISJOINT_EDGES, (1, 0)),
         (matching_number, _ODD_FIRST_PATH, (2003, 0)),
-        # large enough that finding each node's branch element shows in the time
-        (transversal_number, _G64, (14090, 14317)),
+        # large enough that the per-node cost shows in the time; tau runs the
+        # independent-set search, where the cover search took (14,090, 14,317)
+        (transversal_number, _G64, (1183, 1519)),
         (domination_number, _G64, (20997, 18790)),
         # the shared-vertex count prunes below the root: 1,057 nodes without it
         (matching_number, _gnp(18, 0.3), (21, 0)),
@@ -399,11 +402,13 @@ class TestNodeCounts:
         (domination_number, (0, 3, 5, 8, 14, 18, 23, 26, 32, 40), (13342, 12915)),
         (transversal_number, (0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 15, 18, 19, 20, 22, 23, 24,
                               26, 31, 32, 33, 36, 40, 42, 43, 44, 45, 47, 48, 49),
-         (6398, 3445)),
+         (526, 160)),
     ], ids=["gamma", "tau"])
     def test_witness_decisions_on_random_graph(self, fn, witness, phases):
         # a walk over the covers in subset order took 457,194 (gamma) and
-        # 69,120 (tau) witness nodes here; the witnesses are pinned from it
+        # 69,120 (tau) witness nodes here; the witnesses are pinned from it.
+        # tau runs the independent-set search; the cover search took (6,398,
+        # 3,445)
         cert = fn(_G50, node_cap=50_000)
         assert cert.witness == witness
         assert _phases(cert) == phases
@@ -537,6 +542,124 @@ class TestGraphInput:
             h = Hypergraph.from_graph(g)
             assert h.vertex_lists() == tuple(tuple(sorted(_bits(e))) for e in h.edge_masks)
             assert h == Hypergraph.from_edge_sets(g.n, g.edges())
+
+
+def _tau_graph_instances():
+    """Graph instances of tau: every connected graph with n <= 7, seeded random
+    graphs with n <= 30 whose edges avoid a random set of vertices, and
+    2-uniform hypergraphs with duplicate edges."""
+    for n in range(1, 8):
+        yield from enumerate_connected(n)
+    rng = random.Random(3031)
+    for _ in range(120):
+        n = rng.randint(2, 30)
+        p = rng.choice([0.1, 0.2, 0.35])
+        touched = set(rng.sample(range(n), rng.randint(1, n)))
+        yield Graph.from_edges(n, [(u, v) for u, v in combinations(sorted(touched), 2)
+                                   if rng.random() < p])
+    for _ in range(120):
+        m = rng.randint(2, 12)
+        edges = [rng.sample(range(m), 2) for _ in range(rng.randint(1, 14))]
+        edges += [rng.choice(edges) for _ in range(rng.randint(1, 3))]
+        yield Hypergraph.from_edge_sets(m, edges)
+
+
+def _as_edge_hypergraph(x):
+    return x if isinstance(x, Hypergraph) else Hypergraph.from_edge_sets(x.n, x.edges())
+
+
+def _degree_greedy_size(h):
+    """The size of the greedy independent set over the vertices by (degree, index)."""
+    nbrs = [set() for _ in range(h.m)]
+    for u, v in h.edge_sets():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    chosen = set()
+    for v in sorted(range(h.m), key=lambda v: (len(nbrs[v]), v)):
+        if not nbrs[v] & chosen:
+            chosen.add(v)
+    return len(chosen)
+
+
+class TestGraphTau:
+    # tau on a graph instance is n minus the independence number, from the
+    # two-phase independent-set search; it must give the value and the
+    # lexicographically smallest witness of the cover solve
+    def test_matches_the_cover_solve_and_the_oracle(self):
+        for x in _tau_graph_instances():
+            h = _as_edge_hypergraph(x)
+            cover = invariants._solve_cover("tau", *_cover_system(h, "tau"), "branch_and_bound",
+                                            invariants.DEFAULT_NODE_CAP, True)
+            cert = transversal_number(x)
+            assert (cert.value, cert.witness) == (cover.value, cover.witness), x
+            if h.m <= 12:
+                assert cert.value == brute_tau(h)
+            fast = transversal_number(x, lex_witness=False)
+            assert fast.value == cert.value and check_certificate(x, fast)
+            assert fast.node_count == cert.node_count - cert.witness_nodes
+
+    def test_node_cap_reports_an_independent_set(self):
+        # every instance with an edge takes at least four nodes; the bound is
+        # n minus the incumbent, which is still the greedy set after one node
+        capped = 0
+        for x in _tau_graph_instances():
+            h = _as_edge_hypergraph(x)
+            if not h.edge_count:
+                continue
+            tau = transversal_number(x).value
+            bounds = []
+            for cap in (1, 3):
+                with pytest.raises(SearchBudgetExceeded) as info:
+                    transversal_number(x, node_cap=cap)
+                assert info.value.node_count == cap + 1
+                bounds.append(info.value.best_bound)
+            assert bounds[0] == h.m - _degree_greedy_size(h)
+            assert tau <= bounds[1] <= bounds[0]
+            capped += 1
+        assert capped > 1000
+
+
+def _random_tree(n):
+    rng = random.Random(7)
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+class TestGraphTauRobustness:
+    # graphs the CLI accepts on which the cover search blew up: tau on
+    # G(64, 0.2) with seed 36 hit a cap of 2*10^6 nodes there, and G(64, 0.3)
+    # took 702,727 (Baseline, another seed). The value is checked against
+    # n minus a maximum clique of the complement from networkx.
+    @pytest.mark.parametrize("g", [
+        *(_gnp(64, p) for p in (0.03, 0.05, 0.1, 0.2, 0.3)),
+        _gnp(64, 0.2, seed=36),
+        _random_tree(64),
+        star(63),
+        corona(cycle(21)),
+    ], ids=["G64_0_03", "G64_0_05", "G64_0_1", "G64_0_2", "G64_0_3", "G64_0_2_seed36",
+            "tree64", "star63", "corona_C21"])
+    def test_solves_within_a_small_cap(self, g):
+        cert = transversal_number(g, node_cap=50_000)
+        nxg = nx.Graph(g.edges())
+        nxg.add_nodes_from(range(g.n))
+        _clique, alpha = nx.max_weight_clique(nx.complement(nxg), weight=None)
+        assert cert.value == g.n - alpha
+        assert check_certificate(g, cert)
+        assert transversal_number(g, node_cap=50_000, lex_witness=False).value == cert.value
+
+    @pytest.mark.parametrize("x", [
+        Hypergraph.from_edge_sets(65, [[i, i + 1] for i in range(64)]),
+        Hypergraph.from_edge_sets(6, [[0, 1], [1, 2, 3], [3, 4], [4, 5]]),
+    ], ids=["path_on_65_vertices", "an_edge_of_three"])
+    def test_other_instances_keep_the_cover_search(self, x):
+        assert transversal_number(x) == invariants._solve_cover(
+            "tau", *_cover_system(x, "tau"), "branch_and_bound", invariants.DEFAULT_NODE_CAP,
+            True)
+
+    def test_exhaustive_mode_keeps_the_cover_search(self):
+        g = cycle(7)
+        assert transversal_number(g, mode="exhaustive") == invariants._solve_cover(
+            "tau", *_cover_system(_as_edge_hypergraph(g), "tau"), "exhaustive",
+            invariants.DEFAULT_NODE_CAP, True)
 
 
 class TestNuCountingBound:
