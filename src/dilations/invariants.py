@@ -3,11 +3,12 @@
 All three invariants are computed by deterministic branch and bound over
 bitmask state, and by default every certificate holds the lexicographically
 smallest optimal witness, so certificates are reproducible across runs. For
-gamma and tau a witness pass decides that witness once the value is known;
-the nu search passes through it on the way to the value. Callers that read
-only the value pass lex_witness=False to the gamma and tau solvers, which
-then skip the witness pass and certify the optimal cover the value search
-found, sorted; it is just as deterministic, but not always the smallest. An
+gamma, and for tau outside graph instances, a witness pass decides that
+witness once the value is known; the nu search, and the tau search on a graph
+instance, pass through it on the way to the value. Callers that read only
+the value pass lex_witness=False to the gamma and tau solvers, which then
+skip the witness pass and certify the optimal cover the value search found,
+sorted; it is just as deterministic, but not always the smallest. An
 exhaustive mode (plain subset enumeration) is available as a slow reference
 path; it ignores lex_witness. Every search is a loop over an explicit stack
 that pushes a node's children last first, so it visits nodes in the preorder a
@@ -76,34 +77,35 @@ minimum covers are the complements of the maximum independent sets. A graph
 instance is a Graph, or a hypergraph with at most MAX_VERTICES vertices whose
 every edge has two (repeats allowed); exhaustive mode, and every other
 instance, keep the cover search. The limit is the graph core's: each node of
-this search walks the adjacency rows of its candidates, and its witness phase
+this search walks the adjacency rows of its candidates, and its first path
 takes a node per vertex, while the cover search settles 1,100 disjoint edges
-on 2,200 vertices at its root in 0.2 s, where this search takes 2,202 nodes
-and 0.4 s. Both phases are stack loops over candidate masks, and both bound a
+on 2,200 vertices at its root in 0.2 s, where this search takes 3,301 nodes
+and 0.75 s. The search is one stack loop over candidate masks, and it bounds a
 node by a greedy clique cover of its candidates (Tomita & Kameda 2007; San
 Segundo, Rodríguez-Losada & Jiménez 2011): grow a clique from the lowest
 candidate by the lowest common neighbour, remove it, repeat. An independent
-set meets each clique at most once.
-- The value phase relabels the vertices once by ascending degree (index on
-  ties), starts from the greedy independent set of that order, which is its
-  first leaf, and branches include first on the lowest candidate. A branch
-  vertex with at most one candidate neighbour gets no exclude child: a
-  maximum set without it holds that neighbour (else it could add the
-  vertex), and swapping the two keeps it maximum.
-- The witness phase finds the lexicographically smallest minimum cover with
-  no self-reduction. For covers C1, C2 of one size, C1 < C2 iff
-  min(C1 Δ C2) is in C1; their complements I1, I2 have the same symmetric
-  difference, so that holds iff I2 < I1. The phase branches exclude first on
-  the lowest candidate in index order, prunes a node whose count plus bound
-  is below alpha, and stops at the first set of size alpha: the
-  lexicographically largest maximum independent set. Each node carries its
-  candidates also in the degree order, where the bound is taken. An isolated
-  branch vertex gets no exclude child, since a set without it has room for
-  it; its one child passes the bound as its parent did (the vertex is a
-  clique of its own and leaves the others as they were), so the loop takes a
-  run of such vertices without bounding them.
-On a seeded G(64, 0.2) the cover search took 197,491 value and 52,664 witness
-nodes (1.2 s), and this search takes 2,325 and 160 (0.015 s).
+set meets each clique at most once. The bound is taken with the vertices
+relabelled once by ascending degree (index on ties), so each node carries its
+candidates in both orders.
+
+The one search finds the value and the lexicographically smallest minimum
+cover together, with no self-reduction. For covers C1, C2 of one size,
+C1 < C2 iff min(C1 Δ C2) is in C1; their complements I1, I2 have the same
+symmetric difference, so that holds iff I2 < I1, and the smallest cover is
+the complement of the lexicographically largest maximum independent set. The
+search branches exclude first on the lowest candidate in index order, so it
+reaches the independent sets of one size from the largest down. Its
+incumbent starts one below the size of the greedy independent set of the
+degree order; it prunes a node whose count plus bound is at most the
+incumbent, and only a strict improvement replaces the incumbent. Until the
+first set of size alpha is reached the incumbent is below alpha, so no node
+on the path to that set is pruned, and the set kept is that first one: the
+lexicographically largest. An isolated branch vertex gets no exclude child,
+since a set without it has room for it; its one child passes the bound as its
+parent did (the vertex is a clique of its own and leaves the others as they
+were), so the loop takes a run of such vertices without bounding them. On a
+seeded G(64, 0.2) the cover search took 197,491 value and 52,664 witness
+nodes (1.2 s), and this search takes 876 (0.005 s).
 
 The nu search keeps its candidates as one bitmask over the edges and branches
 on the lowest candidate: take it, which drops every edge meeting it, or drop
@@ -163,9 +165,7 @@ class Certificate:
     node_count is every search node; witness_nodes is the part of it spent
     by the searches that decide the gamma/tau witness after the value was
     known (0 for nu, whose value search finds the witness, 0 with
-    lex_witness=False, and 0 in exhaustive mode). For tau on a graph
-    instance, witness_nodes are the nodes of the independent-set search's
-    witness phase.
+    lex_witness=False, and 0 in exhaustive mode).
     """
 
     parameter: str  # "gamma" | "nu" | "tau"
@@ -480,9 +480,8 @@ def _clique_cover(rows, cands: int, limit: int) -> int:
     return count
 
 
-def _max_independent_set(rows, budget: _Budget, lex_witness: bool) -> int:
-    """A maximum independent set, as a mask: the lexicographically largest
-    if `lex_witness`, else the one the value phase found."""
+def _max_independent_set(rows, budget: _Budget) -> int:
+    """The lexicographically largest maximum independent set, as a mask."""
     n = len(rows)
     full = (1 << n) - 1
     if not any(rows):
@@ -492,43 +491,24 @@ def _max_independent_set(rows, budget: _Budget, lex_witness: bool) -> int:
     for i, v in enumerate(order):
         pos[v] = i
     drows = _relabel_rows(rows, pos)
-    # the greedy set in degree order is the value phase's first leaf
-    best, cands = 0, full
+    # the incumbent starts one below the greedy set of the degree order, so the
+    # first set that large replaces it; until then the node cap reports the
+    # greedy set's bound
+    alpha, cands = -1, full
     while cands:
         low = cands & -cands
-        best |= low
+        alpha += 1
         cands &= ~(drows[low.bit_length() - 1] | low)
-    alpha = best.bit_count()
-    stack = [(full, 0, 0)]  # (candidates, chosen, count), relabelled
-    while stack:
-        cands, chosen, count = stack.pop()
-        budget.tick(n - alpha)
-        if not cands:
-            if count > alpha:
-                best, alpha = chosen, count
-            continue
-        if count + _clique_cover(drows, cands, alpha - count + 1) <= alpha:
-            continue
-        low = cands & -cands
-        nbrs = drows[low.bit_length() - 1] & cands
-        if nbrs & (nbrs - 1):  # with one neighbour or none, a maximum set takes it
-            stack.append((cands ^ low, chosen, count))
-        stack.append((cands & ~(nbrs | low), chosen | low, count + 1))
-    if not lex_witness:
-        return _mask(order[i] for i in _mask_to_list(best))
-
-    # the first set of size alpha in exclude-first index order; the bound
-    # reads the degree-ordered copy of the candidates
-    budget.start_witness()
+    best = 0
     stack = [(full, full, 0, 0)]  # (candidates, relabelled candidates, chosen, count)
     while stack:
         cands, dcands, chosen, count = stack.pop()
-        budget.tick(n - alpha)
-        if count + _clique_cover(drows, dcands, alpha - count) < alpha:
+        budget.tick(n - alpha - (not best))
+        if count + _clique_cover(drows, dcands, alpha - count + 1) <= alpha:
             continue
         # a run of isolated branch vertices: one include child each, bounded
         # as this node was
-        while count < alpha:
+        while cands:
             low = cands & -cands
             v = low.bit_length() - 1
             if rows[v] & cands:
@@ -537,28 +517,30 @@ def _max_independent_set(rows, budget: _Budget, lex_witness: bool) -> int:
             dcands ^= 1 << pos[v]
             chosen |= low
             count += 1
-            budget.tick(n - alpha)
-        if count == alpha:
-            break
+            budget.tick(n - alpha - (not best))
+        if not cands:  # a leaf the bound let through: it beats the incumbent
+            best, alpha = chosen, count
+            continue
         dlow = 1 << pos[v]
         stack.append((cands & ~(rows[v] | low), dcands & ~(drows[pos[v]] | dlow),
                       chosen | low, count + 1))
         stack.append((cands ^ low, dcands ^ dlow, chosen, count))
-    return chosen
+    return best
 
 
 def transversal_number(x: Instance, mode: str = "branch_and_bound",
                        node_cap: int = DEFAULT_NODE_CAP, *,
                        lex_witness: bool = True) -> Certificate:
     """Minimum set of vertices meeting every hyperedge; lex_witness as for
-    domination_number."""
+    domination_number, except that a graph instance in branch_and_bound
+    mode always gets the lexicographically smallest witness, which its one
+    search finds."""
     rows = _graph_rows(x) if mode == "branch_and_bound" else None
     if rows is not None:
         budget = _Budget(node_cap)
-        independent = _max_independent_set(rows, budget, lex_witness)
+        independent = _max_independent_set(rows, budget)
         witness = tuple(_mask_to_list((1 << len(rows)) - 1 & ~independent))
-        return Certificate("tau", len(witness), witness, mode, budget.nodes,
-                           budget.witness_nodes)
+        return Certificate("tau", len(witness), witness, mode, budget.nodes)
     h = _as_hypergraph(x)
     # the vertices of edge i are the sets that cover element i
     return _solve_cover("tau", h.incidence(), h.edge_masks, (1 << h.edge_count) - 1,

@@ -364,11 +364,11 @@ class TestNodeCounts:
                         total[0] += value_nodes
                         total[1] += witness_nodes
         assert totals[domination_number] == [981, 448]
-        assert totals[transversal_number] == [1138, 1470]
+        assert totals[transversal_number] == [2203, 556]
         assert totals[matching_number] == [2005, 0]
 
     @pytest.mark.parametrize("fn, x, phases", [
-        (transversal_number, cycle(25), (3, 26)),  # (3, 23) by the cover search
+        (transversal_number, cycle(25), (28, 0)),  # (3, 23) by the cover search
         (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (9, 0)),
         (domination_number, generalized_power(cycle(23), 4, 1)[0], (3, 21)),
         (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 0)),
@@ -384,7 +384,7 @@ class TestNodeCounts:
         (matching_number, _ODD_FIRST_PATH, (2003, 0)),
         # large enough that the per-node cost shows in the time; tau runs the
         # independent-set search, where the cover search took (14,090, 14,317)
-        (transversal_number, _G64, (1183, 1519)),
+        (transversal_number, _G64, (1637, 0)),
         (domination_number, _G64, (20997, 18790)),
         # the shared-vertex count prunes below the root: 1,057 nodes without it
         (matching_number, _gnp(18, 0.3), (21, 0)),
@@ -402,7 +402,7 @@ class TestNodeCounts:
         (domination_number, (0, 3, 5, 8, 14, 18, 23, 26, 32, 40), (13342, 12915)),
         (transversal_number, (0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 15, 18, 19, 20, 22, 23, 24,
                               26, 31, 32, 33, 36, 40, 42, 43, 44, 45, 47, 48, 49),
-         (526, 160)),
+         (290, 0)),
     ], ids=["gamma", "tau"])
     def test_witness_decisions_on_random_graph(self, fn, witness, phases):
         # a walk over the covers in subset order took 457,194 (gamma) and
@@ -583,7 +583,7 @@ def _degree_greedy_size(h):
 
 class TestGraphTau:
     # tau on a graph instance is n minus the independence number, from the
-    # two-phase independent-set search; it must give the value and the
+    # exclude-first independent-set search; it must give the value and the
     # lexicographically smallest witness of the cover solve
     def test_matches_the_cover_solve_and_the_oracle(self):
         for x in _tau_graph_instances():
@@ -594,9 +594,9 @@ class TestGraphTau:
             assert (cert.value, cert.witness) == (cover.value, cover.witness), x
             if h.m <= 12:
                 assert cert.value == brute_tau(h)
-            fast = transversal_number(x, lex_witness=False)
-            assert fast.value == cert.value and check_certificate(x, fast)
-            assert fast.node_count == cert.node_count - cert.witness_nodes
+            # one search finds the value and the witness: the flag changes nothing
+            assert transversal_number(x, lex_witness=False) == cert
+            assert cert.witness_nodes == 0 and check_certificate(x, cert)
 
     def test_node_cap_reports_an_independent_set(self):
         # every instance with an edge takes at least four nodes; the bound is
