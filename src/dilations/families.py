@@ -10,7 +10,8 @@ after deleting leaves and stems satisfy one of three conditions.
 Every predicate takes only the graph and returns a FamilyVerdict whose
 evidence names the vertices or components that decide the answer, so verdicts
 can be re-checked by hand. The non-bipartite list is the shipped candidate
-asset, read once per process into a table of canonical codes.
+asset, read once per process into a table of canonical codes keyed by vertex
+and edge count, so a graph is canonized only if some candidate has its size.
 """
 
 from __future__ import annotations
@@ -140,17 +141,20 @@ def _in_family_g2nb(g: Graph, prof: StructureProfile) -> FamilyVerdict:
 
 
 @functools.cache
-def _candidate_table() -> dict[str, int]:
-    """Canonical code -> index of the first shipped candidate with that code."""
-    table: dict[str, int] = {}
+def _candidate_table() -> dict[tuple[int, int], dict[str, int]]:
+    """(vertex count, edge count) -> canonical code -> index of the first
+    shipped candidate with that code."""
+    table: dict[tuple[int, int], dict[str, int]] = {}
     for i, cand in enumerate(load_g2nb_candidates()):
-        table.setdefault(canonical_form(cand), i)
+        table.setdefault((cand.n, cand.edge_count), {}).setdefault(canonical_form(cand), i)
     return table
 
 
 def _candidate_index(g: Graph) -> Optional[int]:
-    """Index of the first shipped candidate isomorphic to g, or None."""
-    return _candidate_table().get(canonical_form(g))
+    """Index of the first shipped candidate isomorphic to g, or None. g is
+    canonized only if some candidate has its vertex and edge counts."""
+    codes = _candidate_table().get((g.n, g.edge_count))
+    return None if codes is None else codes.get(canonical_form(g))
 
 
 def is_generalized_corona(g: Graph) -> FamilyVerdict:

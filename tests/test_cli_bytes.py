@@ -42,6 +42,9 @@ CASES = [
      {"text": "ca4a3eabe33a0dfa", "json": "ea041858889b1822", "csv": "ca4a3eabe33a0dfa"}),
     ("power --family star:3 --k 3 --s 1",
      {"text": "8b664a190b40d50d", "json": "436172b712626698", "csv": "8b664a190b40d50d"}),
+    # 2,016 hyperedges, all of them in the json run's property checks
+    ("power --family complete:64 --k 8 --s 1",
+     {"text": "167adce14891f536", "json": "a90f9d5343e9b509", "csv": "167adce14891f536"}),
     ("invariant --param gamma --family cycle:7",
      {"text": "e4cc5aee011520b7", "json": "311e659a973eac10", "csv": "e4cc5aee011520b7"}),
     ("invariant --param nu --family cp_vee_cq:4,3",

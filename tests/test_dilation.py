@@ -9,6 +9,7 @@ from dilations.dilation import (BlockWitness, DilationClass, DilationSpec,
 from dilations.errors import (ConstraintError, DomainError, FeasibilityError,
                               WitnessError)
 from dilations.graphs import Graph, complete, cycle
+from dilations.hypergraphs import Hypergraph
 
 
 def sample_graphs():
@@ -143,8 +144,107 @@ class TestDilationProperties:
         with pytest.raises(WitnessError):
             bad.validate(cycle(3), h)
 
+    def test_one_vertex_with_two_copies_is_disconnected(self):
+        # a valid witness implies every fact but connectivity
+        w = BlockWitness((0,), ((0, 1),), (), (), 3)
+        report = check_dilation_properties(Graph.from_edges(1, []), Hypergraph(2, []), w)
+        assert (report.two_supports_per_edge, report.adjacency_preserved,
+                report.disjointness_preserved, report.connectivity_preserved) == \
+            (True, True, True, False)
+
+
+class TestPropertyFormulas:
+    """Non-dilations with validate switched off, so that each fact's formula
+    must catch the fault by itself."""
+
+    @pytest.fixture(autouse=True)
+    def unvalidated(self, monkeypatch):
+        monkeypatch.setattr(BlockWitness, "validate", lambda self, g, h: None)
+
+    @staticmethod
+    def report(n, graph_edges, m, hyperedges):
+        # support of graph vertex v is hypergraph vertex v; edge i maps to hyperedge i
+        w = BlockWitness(tuple(range(n)), tuple((v,) for v in range(n)),
+                         ((),) * len(graph_edges), tuple(range(len(graph_edges))), 3)
+        r = check_dilation_properties(Graph.from_edges(n, graph_edges),
+                                      Hypergraph.from_edge_sets(m, hyperedges), w)
+        return (r.two_supports_per_edge, r.adjacency_preserved,
+                r.disjointness_preserved, r.connectivity_preserved)
+
+    def test_three_supports_in_one_hyperedge(self):
+        assert self.report(3, [(0, 1), (0, 2), (1, 2)],
+                           3, [(0, 1, 2), (0, 2), (1, 2)]) == (False, True, True, True)
+
+    def test_supports_of_a_non_edge_meet(self):
+        assert self.report(3, [(0, 1), (1, 2)], 3, [(0, 1), (0, 2)]) == (True, False, True, True)
+
+    def test_disjoint_graph_edges_meet_in_h(self):
+        assert self.report(4, [(0, 1), (1, 2), (2, 3)],
+                           5, [(0, 1, 4), (1, 2), (2, 3, 4)]) == (True, True, False, True)
+
+    def test_graph_edges_on_vertex_one_disjoint_in_h(self):
+        # the slip `not a & b == (not c & d)` reads `not (a & b == True)`
+        # here; a & b is the shared vertex's bit, 2 != True, so it would miss
+        # this fault, which a shared vertex 0 (bit 1 == True) would not hide
+        assert not self.report(3, [(0, 1), (1, 2)], 4, [(0, 1), (2, 3)])[2]
+
+
+def corrupt(rng, g, h, w):
+    """One seeded corruption of a dilation: a block vertex moved, dropped or
+    added, the copy or edge blocks shuffled, a support changed, two edge_map
+    entries swapped, or one hyperedge bit flipped."""
+    copy = [list(b) for b in w.copy_blocks]
+    extra = [list(b) for b in w.edge_blocks]
+    blocks = copy + extra
+    support, edge_map, hyperedges = list(w.support_map), list(w.edge_map), list(h.edge_masks)
+    kind = rng.randrange(7)
+    if kind in (0, 1):
+        src = rng.choice([b for b in blocks if b])
+        x = src.pop(rng.randrange(len(src)))
+        if kind == 0:
+            rng.choice(blocks).append(x)
+    elif kind == 2:
+        rng.choice(blocks).append(rng.randrange(h.m + 1))
+    elif kind == 3:
+        rng.shuffle(rng.choice((copy, extra)))
+    elif kind == 4:
+        support[rng.randrange(g.n)] = rng.randrange(h.m)
+    elif kind == 5:
+        i, j = rng.randrange(len(edge_map)), rng.randrange(len(edge_map))
+        edge_map[i], edge_map[j] = edge_map[j], edge_map[i]
+    else:
+        i, bit = rng.randrange(len(hyperedges)), 1 << rng.randrange(h.m)
+        if hyperedges[i] != bit:  # hyperedges stay non-empty
+            hyperedges[i] ^= bit
+    bad = BlockWitness(tuple(support), tuple(map(tuple, copy)), tuple(map(tuple, extra)),
+                       tuple(edge_map), w.declared_rank)
+    return Hypergraph(h.m, hyperedges), bad
+
 
 class TestDegreePreservation:
+    def test_valid_witness_implies_degrees(self):
+        # validate checks no degree: its shape and union checks imply them,
+        # so every corrupted witness it still accepts has the right degrees
+        rng = random.Random(47)
+        graphs = sample_graphs()
+        accepted = 0
+        for _ in range(3000):
+            g = rng.choice(graphs)
+            h, w = random_dilation(g, rng.randint(3, 6), seed=rng.randrange(10**6))
+            bad_h, bad = corrupt(rng, g, h, w)
+            try:
+                bad.validate(g, bad_h)
+            except WitnessError:
+                continue
+            accepted += 1
+            for v in range(g.n):
+                for x in bad.copy_blocks[v]:
+                    assert bad_h.degree(x) == g.degree(v)
+            for block in bad.edge_blocks:
+                for x in block:
+                    assert bad_h.degree(x) == 1
+        assert 100 < accepted < 1500
+
     def test_copy_and_additional_degrees(self):
         rng = random.Random(31)
         for g in sample_graphs():

@@ -110,6 +110,23 @@ class TestG2NBDerivation:
                             else {"candidate_index": index})
                 assert in_family_g2nb(g).evidence == expected, g.edges()
 
+    def test_larger_graph_not_canonized(self, monkeypatch):
+        # the friendship graph F7, seven triangles on one vertex: its 645,120
+        # automorphisms are leaves of the canonical search, but no candidate
+        # has 15 vertices, so the lookup never canonizes it
+        f7 = Graph.from_edges(15, [e for t in range(1, 15, 2)
+                                   for e in ((0, t), (0, t + 1), (t, t + 1))])
+        families._candidate_table()
+        calls = []
+        canon = families.canonical_form
+        monkeypatch.setattr(families, "canonical_form",
+                            lambda g: calls.append(g) or canon(g))
+        expected = {"reason": "not isomorphic to any candidate"}
+        assert in_family_g2nb(f7).evidence == expected
+        verdict = union_family_member(f7)
+        assert (verdict.family, verdict.member, verdict.evidence) == ("G2NB", False, expected)
+        assert calls == []
+
     def test_min_degree_two_exceptions(self, nb_list):
         # McCuaig and Shepherd (J. Graph Theory 13, 1989): a connected graph
         # with minimum degree at least 2 has gamma <= 2n/5 apart from seven
