@@ -218,7 +218,9 @@ def check_dilation_properties(g: Graph, h: Hypergraph, w: BlockWitness) -> Dilat
     """Check the four dilation facts: two supports per hyperedge, adjacency of
     supports matches, edge disjointness matches, connectivity matches.
     A valid witness implies the first three; they are read from the edges of
-    G and H, not from the blocks, to cross-check validate. Connectivity can
+    G and H, not from the blocks, to cross-check validate. Disjointness is
+    checked per edge: the edges meeting a graph edge must map to the
+    hyperedges meeting its image. Connectivity can
     differ: a one-vertex graph whose copy block has two or more vertices
     gives a disconnected hypergraph with no edges."""
     w.validate(g, h)
@@ -231,11 +233,20 @@ def check_dilation_properties(g: Graph, h: Hypergraph, w: BlockWitness) -> Dilat
     adjacency = all(bool(supports[u] & supports[v]) == g.has_edge(u, v)
                     for u in range(g.n) for v in range(u + 1, g.n))
 
-    g_edges = [1 << u | 1 << v for u, v in g.edges()]
-    h_edges = [h.edge_masks[j] for j in w.edge_map]
-    disjointness = all((not gi & gj) == (not hi & hj)
-                       for i, (gi, hi) in enumerate(zip(g_edges, h_edges))
-                       for gj, hj in zip(g_edges[i + 1:], h_edges[i + 1:]))
+    edges = g.edges()
+    mapped_at = [0] * g.n  # per graph vertex, the images of its edges
+    for (u, v), j in zip(edges, w.edge_map):
+        mapped_at[u] |= 1 << j
+        mapped_at[v] |= 1 << j
+    vertex_lists = h.vertex_lists()
+    disjointness = True
+    for (u, v), j in zip(edges, w.edge_map):
+        met = 0
+        for x in vertex_lists[j]:
+            met |= incidence[x]
+        if met != mapped_at[u] | mapped_at[v]:
+            disjointness = False
+            break
 
     connectivity = g.is_connected() == h.is_connected()
     return DilationPropertyReport(two_supports, adjacency, disjointness, connectivity)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .graphs import Graph, _mask, _mask_to_list, _reach
+from .graphs import Graph, _mask, _mask_to_list
 
 
 class Hypergraph:
@@ -98,9 +98,26 @@ class Hypergraph:
         return nbhd
 
     def is_connected(self) -> bool:
-        """Connectivity of the co-occurrence structure; isolated vertices disconnect."""
-        full = (1 << self.m) - 1
-        return self.m <= 1 or _reach(self.closed_neighborhoods(), 1, full) == full
+        """Connectivity of the co-occurrence structure; isolated vertices
+        disconnect. A walk from vertex 0 over the incidence table: each edge
+        is entered once, so no per-vertex neighbourhood is built."""
+        if self.m <= 1:
+            return True
+        incidence = self.incidence()
+        reached = frontier = 1
+        entered = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new_edges = incidence[low.bit_length() - 1] & ~entered
+            entered |= new_edges
+            while new_edges:
+                bit = new_edges & -new_edges
+                new_edges ^= bit
+                new = self.edge_masks[bit.bit_length() - 1] & ~reached
+                reached |= new
+                frontier |= new
+        return reached == (1 << self.m) - 1
 
     def __eq__(self, other):
         return (isinstance(other, Hypergraph) and self.m == other.m

@@ -1,19 +1,20 @@
 """Exact domination, matching, and transversal numbers with certificates.
 
-All three invariants are computed by deterministic branch and bound over
-bitmask state, and by default every certificate holds the lexicographically
-smallest optimal witness, so certificates are reproducible across runs. For
-gamma, and for tau outside graph instances, a witness pass decides that
-witness once the value is known; the nu search, and the tau search on a graph
-instance, pass through it on the way to the value. Callers that read only
-the value pass lex_witness=False to the gamma and tau solvers, which then
-skip the witness pass and certify the optimal cover the value search found,
-sorted; it is just as deterministic, but not always the smallest. An
-exhaustive mode (plain subset enumeration) is available as a slow reference
-path; it ignores lex_witness. Every search is a loop over an explicit stack
-that pushes a node's children last first, so it visits nodes in the preorder a
-recursive search would, and its depth is bounded by memory and the node cap,
-not by Python's recursion limit.
+All three invariants are computed by deterministic searches over bitmask
+state, branch and bound except for nu on graph kernels (below), and by
+default every certificate holds the lexicographically smallest optimal
+witness, so certificates are reproducible across runs. For gamma, for tau
+outside graph instances, and for nu on graph kernels, a witness pass decides
+that witness once the value is known; the other nu search, and the tau search
+on a graph instance, pass through it on the way to the value. Callers that
+read only the value pass lex_witness=False to the gamma and tau solvers,
+which then skip the witness pass and certify the optimal cover the value
+search found, sorted; it is just as deterministic, but not always the
+smallest. An exhaustive mode (plain subset enumeration) is available as a
+slow reference path; it ignores lex_witness. Every branch and bound is a loop
+over an explicit stack that pushes a node's children last first, so it visits
+nodes in the preorder a recursive search would, and its depth is bounded by
+memory and the node cap, not by Python's recursion limit.
 
 Domination uses co-occurrence adjacency: two hypergraph vertices are
 adjacent when some hyperedge contains both. A vertex lying in no hyperedge
@@ -107,36 +108,69 @@ were), so the loop takes a run of such vertices without bounding them. On a
 seeded G(64, 0.2) the cover search took 197,491 value and 52,664 witness
 nodes (1.2 s), and this search takes 876 (0.005 s).
 
-The nu search keeps its candidates as one bitmask over the edges and branches
-on the lowest candidate: take it, which drops every edge meeting it, or drop
-it. Each node is bounded first by a count of shared vertices, the vertices
-that lie in two or more edges. Pairwise disjoint edges hold disjoint sets of
-them, so a packing has at most the lonely candidates (edges with no shared
-vertex, which meet no other edge) plus the shared vertices the other
-candidates meet, divided by the fewest shared vertices of any edge that is not
-lonely. The set-up lists the incidence mask of each shared vertex, the edges
-that hold it, none of them lonely; a node counts the masks that meet its
-candidates. Every edge of a dilation holds two disjoint copy blocks, which is
-why nu(H) = nu(G), and on cliques this count alone settles the search: nu on
-K12^(4,1) takes one value node, where the bound below alone took 25,103. When
-the count does not prune, the node is bounded by a greedy transversal of the
+Nu on a graph, or on a hypergraph whose kernel is a multigraph, is a
+maximum matching, found by Edmonds' blossom search (Paths, trees, and
+flowers, 1965). A graph instance (as for tau) is its own kernel, read from
+its edges with no hypergraph built. Else the kernel drops every vertex that
+lies in one edge or none and merges the vertices whose incidence masks are
+equal into one class. Neither step changes which edges meet, and the edges
+keep their indices, so packings and their witnesses carry over. If every
+edge then holds at most two classes, the kernel is a multigraph: an edge of
+one class gets a fresh pendant vertex, and one of none two fresh vertices.
+On a dilation the copies of a vertex are one class and the additional
+vertices are dropped, so the kernel of G's powers is G. The search starts
+from the greedy matching and runs once from each exposed vertex, in index
+order, while a later one is left to end a path; a search that fails leaves
+its root exposed for good. One search is a queue from its root that labels
+outer and inner vertices and contracts each blossom through a base map and
+the lowest common ancestor of its two bases; it keeps per-search state in
+dicts over the labelled vertices only, and nothing recurses.
+
+The witness then decides the edges in index order, keeping M, a maximum
+matching of what is left (the vertices not taken, the edges not dropped). An
+edge in M is taken. An edge with an end that M leaves exposed is taken: M
+with the edge at its other end swapped for it is still maximum. Otherwise
+both ends and their matched edges are removed, and a search runs from each
+partner left exposed; any augmenting path ends at one of them (else M had
+one), and at both when no other vertex is exposed, so then one search does.
+If a path is found, some maximum matching extends the decisions and the
+edge, which is taken. If not, the edge is dropped with its parallel copies,
+and M is restored. Deciding each edge for the lowest index that some maximum
+matching extending the decisions can take is the rule of the cover witness
+pass, so the result is the lexicographically smallest maximum matching. A
+node is one queue pop: the value searches are value nodes, the decisions'
+searches witness nodes, and the node cap reports the size of the matching
+held, a lower bound. Each of the 18 seeded G(64, p) graphs takes at most a
+few hundred nodes, and K15 plus a pendant edge 23, where the branch and bound
+took 596,823.
+
+Other hypergraphs keep a branch and bound that holds its candidates as one
+bitmask over the edges and branches on the lowest candidate: take it, which
+drops every edge meeting it, or drop it. Each node is bounded first by a
+count of shared vertices, the vertices that lie in two or more edges.
+Pairwise disjoint edges hold disjoint sets of them, so a packing has at most
+the lonely candidates (edges with no shared vertex, which meet no other
+edge) plus the shared vertices the other candidates meet, divided by the
+fewest shared vertices of any edge that is not lonely. The set-up lists the
+incidence mask of each shared vertex, the edges that hold it, none of them
+lonely; a node counts the masks that meet its candidates. When the count
+does not prune, the node is bounded by a greedy transversal of the
 candidates (the packing side of covering/packing duality): take the lowest
 uncovered candidate, add the vertex of it that meets the most uncovered
-candidates, and repeat. Pairwise disjoint edges meet a transversal in distinct
-vertices, so its size bounds what can still be added. The count only adds
-pruning to the transversal, so values, witnesses and the best value at every
-visited node are those of the transversal alone, with no more nodes.
+candidates, and repeat. Pairwise disjoint edges meet a transversal in
+distinct vertices, so its size bounds what can still be added. The count
+only adds pruning to the transversal, so values, witnesses and the best
+value at every visited node are those of the transversal alone, with no
+more nodes.
 
-The nu search needs no witness pass. It tries take before drop on the lowest
-candidate, so it reaches packings of one size in the lexicographic order of
-their sorted edge lists, and its first leaf is the greedy packing it starts
-from. Until it reaches the first packing of size nu, the best value is below
-nu, and both bounds are sound, so no node on the path to that packing is
-pruned. Only a strict improvement replaces the witness, so the witness kept
-is that first maximum packing, the lexicographically smallest. On C31^(4,1)
-nu takes 1 node, where counting distinct lowest vertices took 98,319; a
-random G(18, 0.3) graph takes 43, against 1,551 with the transversal alone
-and 44,929 before it.
+The branch and bound needs no witness pass. It tries take before drop on
+the lowest candidate, so it reaches packings of one size in the
+lexicographic order of their sorted edge lists, and its first leaf is the
+greedy packing it starts from. Until it reaches the first packing of size
+nu, the best value is below nu, and both bounds are sound, so no node on the
+path to that packing is pruned. Only a strict improvement replaces the
+witness, so the witness kept is that first maximum packing, the
+lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -163,9 +197,10 @@ class Certificate:
     from a gamma/tau solve with lex_witness=False, whose witness is the
     sorted optimal cover the value search found.
     node_count is every search node; witness_nodes is the part of it spent
-    by the searches that decide the gamma/tau witness after the value was
-    known (0 for nu, whose value search finds the witness, 0 with
-    lex_witness=False, and 0 in exhaustive mode).
+    by the searches that decide the witness after the value was known (0
+    for tau on a graph instance and for nu outside graph kernels, whose
+    value search finds the witness, 0 with lex_witness=False, and 0 in
+    exhaustive mode).
     """
 
     parameter: str  # "gamma" | "nu" | "tau"
@@ -448,6 +483,15 @@ def domination_number(x: Instance, mode: str = "branch_and_bound",
 
 # -- tau ----------------------------------------------------------------------
 
+def _rows(n: int, ends) -> list[int]:
+    """The adjacency rows of the graph on n vertices with edges `ends`."""
+    rows = [0] * n
+    for u, v in ends:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
 def _graph_rows(x: Instance):
     """The adjacency rows of a graph instance: a Graph, or a hypergraph with
     at most MAX_VERTICES vertices whose every edge has two; else None."""
@@ -455,11 +499,7 @@ def _graph_rows(x: Instance):
         return x.adj
     if x.m > MAX_VERTICES or any(e.bit_count() != 2 for e in x.edge_masks):
         return None
-    rows = [0] * x.m
-    for u, v in x.vertex_lists():
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
+    return _rows(x.m, x.vertex_lists())
 
 
 def _clique_cover(rows, cands: int, limit: int) -> int:
@@ -631,23 +671,202 @@ def _max_packing(h: Hypergraph, budget: _Budget) -> tuple[int, ...]:
     return witness
 
 
+def _matching_kernel(h: Hypergraph):
+    """The edge ends of h's kernel, edge for edge, and its vertex count; None
+    if some kernel edge holds three or more vertex classes.
+
+    A class is the vertices that lie in the same two or more edges; a vertex
+    in one edge or none is dropped. Two edges meet iff they share a class. A
+    kernel edge of one class gets a fresh pendant vertex, and one of none two
+    fresh vertices, so the packings of h are the matchings of the kernel."""
+    # a dict keeps the classes in order of their first vertex
+    classes = dict.fromkeys(mask for mask in h.incidence() if mask & (mask - 1))
+    held = [[] for _ in h.edge_masks]  # per edge, its classes
+    for c, mask in enumerate(classes):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            held[low.bit_length() - 1].append(c)
+    n = len(classes)
+    ends = []
+    for cs in held:
+        if len(cs) == 2:
+            ends.append(tuple(cs))
+        elif len(cs) == 1:
+            ends.append((cs[0], n))
+            n += 1
+        elif not cs:
+            ends.append((n, n + 1))
+            n += 2
+        else:
+            return None
+    return ends, n
+
+
+def _augment(rows, alive: int, mate: list, root: int, budget: _Budget, size: int) -> int:
+    """Edmonds' search for an augmenting path from the exposed vertex `root`
+    over the vertices of the mask `alive`. A path found is flipped in `mate`,
+    and its other end returned; -1 if there is none.
+
+    The queue holds the outer vertices: the root, the mates of the inner
+    vertices, and the inner vertices of each blossom when it is contracted.
+    parent[w] is the vertex before w on its alternating path to the root, and
+    base maps each vertex of a contracted blossom to the blossom's base. Only
+    labelled vertices get entries, so a search allocates nothing per vertex
+    of the graph. One budget node per queue pop, reporting `size`."""
+    outer, inner = 1 << root, 0
+    parent, base = {}, {}
+    labelled = [root]
+    queue = [root]
+    for v in queue:
+        budget.tick(size)
+        # an edge to an inner vertex adds nothing, and v's matched edge leads
+        # to one or into v's own blossom
+        nbrs = rows[v] & alive & ~inner
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            w = low.bit_length() - 1
+            if not outer & low:
+                parent[w] = v
+                x = mate[w]
+                if x < 0:  # flip the path back to the root
+                    end = w
+                    while w >= 0:
+                        v = parent[w]
+                        x = mate[v]
+                        mate[w], mate[v] = v, w
+                        w = x
+                    return end
+                inner |= low
+                outer |= 1 << x
+                labelled += (w, x)
+                queue.append(x)
+                continue
+            top, bw = base.get(v, v), base.get(w, w)
+            if top == bw:
+                continue
+            # a blossom: its base is the lowest common ancestor of the two
+            # bases, found by walking both up the tree of blossom bases
+            path = {top}
+            while top != root:
+                top = parent[mate[top]]
+                top = base.get(top, top)
+                path.add(top)
+            top = bw
+            while top not in path:
+                top = parent[mate[top]]
+                top = base.get(top, top)
+            # reroute parents so both halves lead out through the base, and
+            # collect the bases of the blossoms on the cycle
+            blossom = set()
+            for x, child in ((v, w), (w, v)):
+                while (bx := base.get(x, x)) != top:
+                    y = mate[x]
+                    blossom.add(bx)
+                    blossom.add(base.get(y, y))
+                    parent[x] = child
+                    child = y
+                    x = parent[y]
+            for x in labelled:
+                if base.get(x, x) in blossom:
+                    base[x] = top
+                    if inner >> x & 1:
+                        inner ^= 1 << x
+                        outer |= 1 << x
+                        queue.append(x)
+    return -1
+
+
+def _max_matching(rows, ends, budget: _Budget) -> tuple[int, ...]:
+    """The lexicographically smallest maximum matching of the multigraph with
+    adjacency rows `rows` (a list this call may change) and edge ends `ends`,
+    as edge indices."""
+    n = len(rows)
+    alive = (1 << n) - 1
+    mate = [-1] * n
+    size = 0
+    for u, v in ends:  # the greedy matching
+        if mate[u] < 0 and mate[v] < 0:
+            mate[u], mate[v] = v, u
+            size += 1
+    # free: the exposed vertices with an edge. A failed search leaves its root
+    # exposed for good, so each is a root once, and only a later root can end
+    # a path
+    free = 0
+    for v in range(n):
+        if mate[v] < 0 and rows[v]:
+            free |= 1 << v
+    roots = free
+    while roots & (roots - 1):
+        low = roots & -roots
+        roots ^= low
+        end = _augment(rows, alive, mate, low.bit_length() - 1, budget, size)
+        if end >= 0:
+            size += 1
+            roots &= ~(1 << end)
+            free ^= low | 1 << end
+    # decide the edges in index order against mate, a maximum matching of the
+    # graph left: the alive vertices and the edges not dropped
+    budget.start_witness()
+    taken = []
+    for i, (u, v) in enumerate(ends):
+        if len(taken) == size:
+            break
+        if not (alive >> u & 1 and alive >> v & 1 and rows[u] >> v & 1):
+            continue
+        alive ^= 1 << u | 1 << v
+        mu, mv = mate[u], mate[v]
+        if mu == v:
+            pass  # in the matching
+        elif mu < 0 or mv < 0:  # an end exposed: swap uv in at the other end
+            x = max(mu, mv)
+            mate[x] = -1
+            free ^= 1 << (u if mu < 0 else v) | 1 << x
+        else:
+            # some maximum matching takes uv iff the matching without u, v and
+            # their edges has an augmenting path; it ends at mu or mv, and
+            # with no other exposed vertex at both
+            mate[mu] = mate[mv] = -1
+            end, other = _augment(rows, alive, mate, mu, budget, size), mv
+            if end < 0 and free:
+                end, other = _augment(rows, alive, mate, mv, budget, size), mu
+            if end < 0:
+                alive ^= 1 << u | 1 << v
+                mate[mu], mate[mv] = u, v
+                rows[u] ^= 1 << v  # drop uv and its parallel copies
+                rows[v] ^= 1 << u
+                continue
+            free = (free | 1 << other) & ~(1 << end)
+        taken.append(i)
+    return tuple(taken)
+
+
 def matching_number(x: Instance, mode: str = "branch_and_bound",
                     node_cap: int = DEFAULT_NODE_CAP) -> Certificate:
     """Maximum number of pairwise disjoint hyperedges; witness is a set of
     edge indices."""
     _check_mode(mode)
-    h = _as_hypergraph(x)
     budget = _Budget(node_cap)
     if mode == "exhaustive":
-        masks = h.edge_masks
+        masks = _as_hypergraph(x).edge_masks
         # pairwise disjoint: no vertex is counted twice
         witness = _first_combination(
             len(masks), range(len(masks), -1, -1),
             lambda combo: _union(masks, combo).bit_count() == sum(
                 masks[i].bit_count() for i in combo), budget)
+        return Certificate("nu", len(witness), witness, mode, budget.nodes)
+    rows = _graph_rows(x)  # None only for a hypergraph
+    if rows is not None:
+        ends = x.edges() if isinstance(x, Graph) else x.vertex_lists()
+        witness = _max_matching(list(rows), ends, budget)
+    elif (kernel := _matching_kernel(x)) is not None:
+        ends, n = kernel
+        witness = _max_matching(_rows(n, ends), ends, budget)
     else:
-        witness = _max_packing(h, budget)
-    return Certificate("nu", len(witness), witness, mode, budget.nodes)
+        witness = _max_packing(x, budget)
+    return Certificate("nu", len(witness), witness, mode, budget.nodes,
+                       budget.witness_nodes)
 
 
 # -- certificate checking and KEG ------------------------------------------------

@@ -129,3 +129,46 @@ def test_is_connected_matches_cooccurrence_graph():
         isolated += any(h.degree(v) == 0 for v in range(m))
         connected += h.is_connected()
     assert isolated >= 50 and connected >= 20
+
+
+def _reach_over_closed_neighborhoods(h):
+    """Whether vertex 0 reaches every vertex through closed neighbourhoods."""
+    nbhd = h.closed_neighborhoods()
+    reached, frontier = 1, [0]
+    while frontier:
+        v = frontier.pop()
+        for u in range(h.m):
+            if nbhd[v] >> u & 1 and not reached >> u & 1:
+                reached |= 1 << u
+                frontier.append(u)
+    return reached == (1 << h.m) - 1
+
+
+@pytest.mark.parametrize("h", [
+    Hypergraph(0, []), Hypergraph(1, []), Hypergraph(2, []), Hypergraph(3, []),
+    Hypergraph.from_edge_sets(1, [[0], [0]]),
+    Hypergraph.from_edge_sets(2, [[0], [1]]),
+    Hypergraph.from_edge_sets(2, [[0, 1]]),
+    Hypergraph.from_edge_sets(4, [[0, 1], [0, 1], [3]]),
+    Hypergraph.from_edge_sets(5, [[4, 3], [3, 2], [2, 1], [1, 0]]),
+], ids=["m0", "m1", "m2_edgeless", "m3_edgeless", "m1_loops", "two_singletons", "one_edge",
+        "isolated_vertex", "path_listed_backwards"])
+def test_is_connected_small_cases(h):
+    assert h.is_connected() == (h.m <= 1 or _reach_over_closed_neighborhoods(h))
+
+
+def test_is_connected_matches_the_closed_neighborhood_reach():
+    """The walk over the incidence table agrees with the reach over
+    closed_neighborhoods(), on seeded hypergraphs with isolated vertices,
+    repeated and singleton edges, and no edges at all."""
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(400):
+        m = rng.randint(0, 16)
+        edges = [rng.sample(range(m), rng.randint(1, min(m, 5)))
+                 for _ in range(rng.randint(0, m + 2))] if m else []
+        h = Hypergraph.from_edge_sets(m, edges)
+        expected = m <= 1 or _reach_over_closed_neighborhoods(h)
+        assert h.is_connected() == expected
+        seen.add((expected, not edges, any(h.degree(v) == 0 for v in range(m))))
+    assert {(True, False, False), (False, False, True), (False, True, True)} <= seen

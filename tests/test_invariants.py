@@ -365,29 +365,32 @@ class TestNodeCounts:
                         total[1] += witness_nodes
         assert totals[domination_number] == [981, 448]
         assert totals[transversal_number] == [2203, 556]
-        assert totals[matching_number] == [2005, 0]
+        assert totals[matching_number] == [519, 402]
 
     @pytest.mark.parametrize("fn, x, phases", [
         (transversal_number, cycle(25), (28, 0)),  # (3, 23) by the cover search
         (transversal_number, generalized_power(corona(cycle(9)), 5, 2)[0], (9, 0)),
         (domination_number, generalized_power(cycle(23), 4, 1)[0], (3, 21)),
-        (matching_number, generalized_power(cycle(31), 4, 1)[0], (1, 0)),
-        (matching_number, generalized_power(complete(12), 4, 1)[0], (1, 0)),
+        # nu on a kernel that is a graph: the greedy matching is maximum and
+        # lexicographically smallest, so no search runs
+        (matching_number, generalized_power(cycle(31), 4, 1)[0], (0, 0)),
+        (matching_number, generalized_power(complete(12), 4, 1)[0], (0, 0)),
         (domination_number, generalized_power(complete_minus_clique(6, 2), 4, 1)[0], (45, 65)),
         # large witnesses: gamma 999, tau and gamma 1,100, whose value search's
         # cover settles every decision with no search (2,200 vertices keep tau
         # on the cover search, past MAX_VERTICES); and nu 501 after the
-        # greedy's 500 (odd edges listed first), on a path 1,000 nodes deep
+        # greedy's 500 (odd edges listed first): one search walks the path,
+        # and each odd edge is dropped by one pop from its isolated partner
         (domination_number, Hypergraph.from_edge_sets(1000, [[0, 999]]), (1, 0)),
         (transversal_number, _DISJOINT_EDGES, (1, 0)),
         (domination_number, _DISJOINT_EDGES, (1, 0)),
-        (matching_number, _ODD_FIRST_PATH, (2003, 0)),
+        (matching_number, _ODD_FIRST_PATH, (501, 500)),
         # large enough that the per-node cost shows in the time; tau runs the
         # independent-set search, where the cover search took (14,090, 14,317)
         (transversal_number, _G64, (1637, 0)),
         (domination_number, _G64, (20997, 18790)),
-        # the shared-vertex count prunes below the root: 1,057 nodes without it
-        (matching_number, _gnp(18, 0.3), (21, 0)),
+        # the branch and bound took 21 nodes here, 1,057 without its count
+        (matching_number, _gnp(18, 0.3), (5, 4)),
     ], ids=["tau_C25", "tau_corona_C9_5_2", "gamma_C23_4_1", "nu_C31_4_1", "nu_K12_4_1",
             "gamma_K12_minus_edge_4_1", "gamma_m1000_one_edge", "tau_1100_disjoint_edges",
             "gamma_1100_disjoint_edges", "nu_path_1002_odd_edges_first", "tau_G64_0_08",
@@ -662,21 +665,176 @@ class TestGraphTauRobustness:
             invariants.DEFAULT_NODE_CAP, True)
 
 
+def _kernel_instances():
+    """Seeded hypergraphs whose kernel is a multigraph: a random multigraph on
+    a few classes, each class blown up to one to three vertices, and each edge
+    given up to two vertices of its own. Among the edges are parallel copies,
+    edges of one class and lonely edges (of no class); the labels left over
+    are isolated vertices."""
+    rng = random.Random(3333)
+    for _ in range(300):
+        n_classes = rng.randint(1, 7)
+        edges = [rng.sample(range(n_classes), min(n_classes, rng.choice([0, 1, 2, 2, 2])))
+                 for _ in range(rng.randint(1, 10))]
+        edges += [rng.choice(edges) for _ in range(rng.randint(0, 2))]
+        labels = list(range(3 * n_classes + 2 * len(edges) + 2))
+        rng.shuffle(labels)
+        fresh = iter(labels)
+        blocks = [[next(fresh) for _ in range(rng.randint(1, 3))] for _ in range(n_classes)]
+        yield Hypergraph.from_edge_sets(len(labels), [
+            [v for c in cs for v in blocks[c]]
+            + [next(fresh) for _ in range(rng.randint(0 if cs else 1, 2))] for cs in edges])
+
+
+_HAND_KERNELS = [
+    # duplicate 2-vertex edges, as a graph instance and past MAX_VERTICES
+    Hypergraph.from_edge_sets(4, [[0, 1], [1, 2], [0, 1], [2, 3], [2, 3]]),
+    Hypergraph.from_edge_sets(70, [[0, 1], [1, 2], [0, 1], [2, 3], [2, 3], [68, 69]]),
+    # copies with equal incidence merge: {0, 1} is one class, so edge 2
+    # holds one class; vertices 4 and 6 lie in one edge each
+    Hypergraph.from_edge_sets(7, [[0, 1, 2], [0, 1, 3, 4], [2, 3], [1, 0], [5, 6]]),
+    # singletons: a repeated one (one class) and lonely ones
+    Hypergraph.from_edge_sets(4, [[0], [1], [0], [2]]),
+    # lonely edges only, next to an isolated vertex
+    Hypergraph.from_edge_sets(6, [[0, 1, 2], [3, 4]]),
+    # parallel edges whose vertices differ: the kernel is a triangle with a
+    # doubled edge and a pendant edge
+    Hypergraph.from_edge_sets(9, [[0, 1, 5], [1, 2], [0, 1, 6], [2, 0, 7], [2, 8], [3]]),
+    Hypergraph(5, []),
+    Hypergraph(0, []),
+]
+
+
+def _check_nu(x):
+    """Value and witness of matching_number against the branch and bound, the
+    value against brute_nu on small instances and against networkx on the
+    graph itself or on the kernel; returns whether the instance has a kernel."""
+    h = invariants._as_hypergraph(x)
+    budget = invariants._Budget(invariants.DEFAULT_NODE_CAP)
+    packing = invariants._max_packing(h, budget)
+    cert = matching_number(x)
+    assert (cert.value, cert.witness) == (len(packing), packing), x
+    assert check_certificate(x, cert)
+    if h.edge_count <= 12:
+        assert cert.value == brute_nu(h)
+    kernel = invariants._matching_kernel(h)
+    if kernel is not None:
+        ends, n = kernel
+        nxg = nx.Graph(ends)
+        nxg.add_nodes_from(range(n))
+        assert cert.value == len(nx.max_weight_matching(nxg, maxcardinality=True))
+        assert len(ends) == h.edge_count
+    return kernel is not None
+
+
+class TestGraphNu:
+    # nu on a graph instance or a multigraph kernel is Edmonds' blossom search
+    # with the edges decided in index order; it must give the branch and
+    # bound's value and lexicographically smallest witness
+    def test_seeded_graphs(self):
+        for x in (*_seeded_graphs(), *_tau_graph_instances()):
+            _check_nu(x)
+
+    def test_multigraph_kernels(self):
+        kernels = sum(_check_nu(x) for x in (*_kernel_instances(), *_HAND_KERNELS))
+        assert kernels == 300 + len(_HAND_KERNELS)
+
+    def test_powers_up_to_n6(self):
+        for n in range(2, 7):
+            for g in enumerate_connected(n):
+                for k, s in ((4, 1), (4, 2)):
+                    h = generalized_power(g, k, s)[0]
+                    assert _check_nu(h)
+                    assert matching_number(h).value == matching_number(g).value
+
+    @pytest.mark.parametrize("x", [
+        builtin_hypergraph("fano"),
+        Hypergraph.from_edge_sets(6, [[0, 1], [1, 2, 3], [3, 4], [4, 5], [0, 2, 4]]),
+    ], ids=["fano", "an_edge_of_three_classes"])
+    def test_other_kernels_keep_the_branch_and_bound(self, x):
+        assert invariants._matching_kernel(x) is None
+        _check_nu(x)
+        budget = invariants._Budget(invariants.DEFAULT_NODE_CAP)
+        packing = invariants._max_packing(x, budget)
+        assert matching_number(x) == Certificate("nu", len(packing), packing,
+                                                 "branch_and_bound", budget.nodes)
+
+    def test_node_cap_reports_the_matching_size(self):
+        # the bound reported is the matching held when the cap falls: the
+        # greedy one at first, nu once the witness decisions run
+        g = _gnp(64, 0.05, seed=1)
+        cert = matching_number(g)
+        greedy = acc = 0
+        for u, v in g.edges():
+            if not acc & (1 << u | 1 << v):
+                acc |= 1 << u | 1 << v
+                greedy += 1
+        bounds = []
+        for cap in range(1, cert.node_count):
+            with pytest.raises(SearchBudgetExceeded) as info:
+                matching_number(g, node_cap=cap)
+            assert info.value.node_count == cap + 1
+            bounds.append(info.value.best_bound)
+        assert bounds == sorted(bounds)
+        assert (bounds[0], bounds[-1], cert.value) == (greedy, cert.value, 31)
+        assert bounds[cert.node_count - cert.witness_nodes - 1] == cert.value
+
+
+def _with_pendant(q):
+    return Graph.from_edges(q + 1, complete(q).edges() + [(0, q)])
+
+
+class TestGraphNuRobustness:
+    # graphs the CLI accepts on which the branch and bound blew up: it hit a
+    # cap of 10^6 nodes on three G(64, p) rows and 10^5 on each K_q plus a
+    # pendant edge (596,823 nodes uncapped on K15). The value is checked
+    # against networkx.
+    @pytest.mark.parametrize("g", [
+        *(_gnp(64, p, seed) for seed in (1, 2, 3) for p in (0.03, 0.05, 0.08, 0.1, 0.15, 0.2)),
+        *(_with_pendant(q) for q in (15, 17, 63)),
+        Graph.from_edges(18, complete(15).edges() + [(15, 16), (15, 17), (16, 17)]),
+    ], ids=[*(f"G64_{p}_seed{seed}" for seed in (1, 2, 3)
+              for p in (0.03, 0.05, 0.08, 0.1, 0.15, 0.2)),
+            "K15_pendant", "K17_pendant", "K63_pendant", "K15_and_K3"])
+    def test_solves_within_a_small_cap(self, g):
+        cert = matching_number(g, node_cap=10_000)
+        nxg = nx.Graph(g.edges())
+        nxg.add_nodes_from(range(g.n))
+        assert cert.value == len(nx.max_weight_matching(nxg, maxcardinality=True))
+        assert check_certificate(g, cert)
+
+
 class TestNuCountingBound:
     # The counting bound only adds pruning to the greedy transversal, so the
     # value and the best value at every visited node stay the same, and the
     # search may visit no node the greedy bound alone skips. The witness is
     # the first maximum packing the search reaches, which must be the one the
     # oracle's separate witness pass finds. The nodes saved are counted in the
-    # value search alone, so they measure the counting bound.
+    # value search alone, so they measure the counting bound. The branch and
+    # bound is called directly, since graph kernels go to the blossom search.
     @staticmethod
     def _check(x):
         value, witness, value_nodes, _ = greedy_transversal_nu(x)
-        cert = matching_number(x)
-        assert (cert.value, cert.witness) == (value, witness)
-        assert cert.witness_nodes == 0
-        assert cert.node_count <= value_nodes
-        return value_nodes - cert.node_count
+        budget = invariants._Budget(invariants.DEFAULT_NODE_CAP)
+        packing = invariants._max_packing(invariants._as_hypergraph(x), budget)
+        assert (len(packing), packing) == (value, witness)
+        assert matching_number(x).witness == witness
+        assert budget.witness_nodes == 0
+        assert budget.nodes <= value_nodes
+        return value_nodes - budget.nodes
+
+    @pytest.mark.parametrize("x, nodes", [
+        (generalized_power(cycle(31), 4, 1)[0], 1),
+        (generalized_power(complete(12), 4, 1)[0], 1),
+        (_ODD_FIRST_PATH, 2003),
+        (_gnp(18, 0.3), 21),  # 1,057 without the count
+    ], ids=["C31_4_1", "K12_4_1", "path_1002_odd_edges_first", "G18_0_3"])
+    def test_node_counts(self, x, nodes):
+        # the counts matching_number gave before graph kernels went to the
+        # blossom search: on cliques and cycles the count settles the root
+        budget = invariants._Budget(invariants.DEFAULT_NODE_CAP)
+        packing = invariants._max_packing(invariants._as_hypergraph(x), budget)
+        assert (budget.nodes, packing) == (nodes, matching_number(x).witness)
 
     def test_small_graphs_and_powers(self):
         saved = 0
