@@ -220,9 +220,9 @@ def check_dilation_properties(g: Graph, h: Hypergraph, w: BlockWitness) -> Dilat
     A valid witness implies the first three; they are read from the edges of
     G and H, not from the blocks, to cross-check validate. Disjointness is
     checked per edge: the edges meeting a graph edge must map to the
-    hyperedges meeting its image. Connectivity can
-    differ: a one-vertex graph whose copy block has two or more vertices
-    gives a disconnected hypergraph with no edges."""
+    hyperedges meeting its image. Connectivity can differ: a one-vertex graph
+    whose copy block has two or more vertices gives a disconnected
+    hypergraph with no edges."""
     w.validate(g, h)
     support_mask = _mask(w.support_map)
 
@@ -238,15 +238,15 @@ def check_dilation_properties(g: Graph, h: Hypergraph, w: BlockWitness) -> Dilat
     for (u, v), j in zip(edges, w.edge_map):
         mapped_at[u] |= 1 << j
         mapped_at[v] |= 1 << j
-    vertex_lists = h.vertex_lists()
-    disjointness = True
-    for (u, v), j in zip(edges, w.edge_map):
-        met = 0
-        for x in vertex_lists[j]:
-            met |= incidence[x]
-        if met != mapped_at[u] | mapped_at[v]:
-            disjointness = False
-            break
+    meets = [0] * h.edge_count  # per hyperedge, the hyperedges that meet it
+    for edges_at in incidence:
+        rest = edges_at
+        while rest:
+            j = rest.bit_length() - 1
+            rest ^= 1 << j
+            meets[j] |= edges_at
+    disjointness = all(meets[j] == mapped_at[u] | mapped_at[v]
+                       for (u, v), j in zip(edges, w.edge_map))
 
     connectivity = g.is_connected() == h.is_connected()
     return DilationPropertyReport(two_supports, adjacency, disjointness, connectivity)

@@ -68,14 +68,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """Edges as sorted (u, v) pairs with u < v."""
         out = []
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            v = u + 1
+        for u, row in enumerate(self.adj):
+            rest = row >> (u + 1) << (u + 1)
             while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
+                low = rest & -rest
+                rest ^= low
+                out.append((u, low.bit_length() - 1))
         return out
 
     @property
@@ -143,11 +141,13 @@ def _mask(vertices: Iterable[int]) -> int:
 
 
 def _mask_to_list(mask: int) -> list[int]:
+    # top bit first: on a wide mask that is cheaper than isolating the lowest
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    out.reverse()
     return out
 
 

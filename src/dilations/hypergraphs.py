@@ -1,7 +1,8 @@
 """Hypergraphs with labeled vertices 0..m-1 and an ordered edge list.
 
 Edges are stored as int bitmasks; duplicate edges are allowed and order is
-preserved, since dilation edges correspond positionally to graph edges.
+preserved, since dilation edges correspond positionally to graph edges. Of
+the tables derived from the masks, only the incidence table is kept.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .graphs import Graph, _mask, _mask_to_list
 class Hypergraph:
     """Immutable hypergraph; no size cap beyond what fits in memory."""
 
-    __slots__ = ("m", "edge_masks", "_vertex_lists", "_incidence")
+    __slots__ = ("m", "edge_masks", "_incidence")
 
     def __init__(self, m: int, edge_masks: Sequence[int]):
         if m < 0:
@@ -28,7 +29,6 @@ class Hypergraph:
                 raise DomainError(f"edge {i} references vertices outside 0..{m - 1}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "edge_masks", tuple(edge_masks))
-        object.__setattr__(self, "_vertex_lists", None)  # built by vertex_lists()
         object.__setattr__(self, "_incidence", None)  # built by incidence()
 
     def __setattr__(self, name, value):
@@ -44,10 +44,7 @@ class Hypergraph:
     @classmethod
     def from_graph(cls, g: Graph) -> "Hypergraph":
         """The graph viewed as a 2-uniform hypergraph; edges in sorted pair order."""
-        edges = g.edges()
-        h = cls(g.n, [1 << u | 1 << v for u, v in edges])
-        object.__setattr__(h, "_vertex_lists", tuple(edges))  # each pair is sorted
-        return h
+        return cls(g.n, [1 << u | 1 << v for u, v in g.edges()])
 
     @property
     def edge_count(self) -> int:
@@ -58,10 +55,10 @@ class Hypergraph:
         return max((e.bit_count() for e in self.edge_masks), default=0)
 
     def edge_vertices(self, i: int) -> list[int]:
-        return list(self.vertex_lists()[i])
+        return _mask_to_list(self.edge_masks[i])
 
     def edge_sets(self) -> list[list[int]]:
-        return [list(verts) for verts in self.vertex_lists()]
+        return [_mask_to_list(e) for e in self.edge_masks]
 
     def is_uniform(self, k: int) -> bool:
         return all(e.bit_count() == k for e in self.edge_masks)
@@ -71,20 +68,18 @@ class Hypergraph:
         return sum(1 for e in self.edge_masks if e & bit)
 
     def vertex_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Per edge, its vertices in increasing order; built on first use and
-        kept, like the incidence table."""
-        if self._vertex_lists is None:
-            object.__setattr__(self, "_vertex_lists",
-                               tuple(tuple(_mask_to_list(e)) for e in self.edge_masks))
-        return self._vertex_lists
+        """Per edge, its vertices in increasing order; built on each call."""
+        return tuple(tuple(_mask_to_list(e)) for e in self.edge_masks)
 
     def incidence(self) -> tuple[int, ...]:
         """Per vertex, the mask of the edges that contain it; built on first
-        use and kept, so every solver on this instance shares one table."""
+        use and kept, so every solver on this instance shares the table."""
         if self._incidence is None:
             incidence = [0] * self.m
-            for i, verts in enumerate(self.vertex_lists()):
-                for v in verts:
+            for i, e in enumerate(self.edge_masks):
+                while e:  # from the top bit down, as in _mask_to_list
+                    v = e.bit_length() - 1
+                    e ^= 1 << v
                     incidence[v] |= 1 << i
             object.__setattr__(self, "_incidence", tuple(incidence))
         return self._incidence
@@ -92,8 +87,11 @@ class Hypergraph:
     def closed_neighborhoods(self) -> list[int]:
         """Per-vertex mask of the vertex itself plus all co-occurring vertices."""
         nbhd = [1 << v for v in range(self.m)]
-        for e, verts in zip(self.edge_masks, self.vertex_lists()):
-            for v in verts:
+        for e in self.edge_masks:
+            rest = e
+            while rest:
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
                 nbhd[v] |= e
         return nbhd
 

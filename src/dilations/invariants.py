@@ -19,9 +19,9 @@ memory and the node cap, not by Python's recursion limit.
 Domination uses co-occurrence adjacency: two hypergraph vertices are
 adjacent when some hyperedge contains both. A vertex lying in no hyperedge
 can only be dominated by itself and is therefore forced into every
-dominating set. On a Graph the closed neighbourhood N[v] is v's adjacency row
-plus v, so gamma reads its cover instance from the rows and builds no
-hypergraph; the instance is the one the graph's 2-uniform hypergraph gives.
+dominating set. On a graph instance (defined under tau below) N[v] is v's
+adjacency row plus v, so gamma reads its cover instance from the rows; a
+Graph and its 2-uniform hypergraph give the same instance.
 
 Both covering problems, gamma and tau, go through one minimum set cover
 search, except tau on a graph instance (below). Its set-up takes three steps,
@@ -472,10 +472,9 @@ def domination_number(x: Instance, mode: str = "branch_and_bound",
 
     With lex_witness=False the witness is the optimal cover the value search
     found, not the lexicographically smallest one."""
-    if isinstance(x, Graph):
-        nbhd = [row | 1 << v for v, row in enumerate(x.adj)]
-    else:
-        nbhd = x.closed_neighborhoods()
+    rows = _graph_rows(x)
+    nbhd = (x.closed_neighborhoods() if rows is None
+            else [row | 1 << v for v, row in enumerate(rows)])
     # u dominates v iff u in N[v], and co-occurrence is symmetric, so N[v] is
     # both what v covers and the set of v's coverers
     return _solve_cover("gamma", nbhd, nbhd, (1 << len(nbhd)) - 1, mode, node_cap, lex_witness)
@@ -483,7 +482,7 @@ def domination_number(x: Instance, mode: str = "branch_and_bound",
 
 # -- tau ----------------------------------------------------------------------
 
-def _rows(n: int, ends) -> list[int]:
+def _rows(ends, n: int) -> list[int]:
     """The adjacency rows of the graph on n vertices with edges `ends`."""
     rows = [0] * n
     for u, v in ends:
@@ -492,14 +491,22 @@ def _rows(n: int, ends) -> list[int]:
     return rows
 
 
-def _graph_rows(x: Instance):
-    """The adjacency rows of a graph instance: a Graph, or a hypergraph with
-    at most MAX_VERTICES vertices whose every edge has two; else None."""
+def _graph_ends(x: Instance):
+    """The edges (u, v), u < v, and vertex count of a graph instance: a Graph,
+    or a hypergraph on at most MAX_VERTICES vertices, two per edge; else None."""
     if isinstance(x, Graph):
-        return x.adj
+        return x.edges(), x.n
     if x.m > MAX_VERTICES or any(e.bit_count() != 2 for e in x.edge_masks):
         return None
-    return _rows(x.m, x.vertex_lists())
+    return [((e & -e).bit_length() - 1, e.bit_length() - 1) for e in x.edge_masks], x.m
+
+
+def _graph_rows(x: Instance):
+    """The adjacency rows of a graph instance (see `_graph_ends`); else None."""
+    if isinstance(x, Graph):
+        return x.adj
+    graph = _graph_ends(x)
+    return None if graph is None else _rows(*graph)
 
 
 def _clique_cover(rows, cands: int, limit: int) -> int:
@@ -778,11 +785,10 @@ def _augment(rows, alive: int, mate: list, root: int, budget: _Budget, size: int
     return -1
 
 
-def _max_matching(rows, ends, budget: _Budget) -> tuple[int, ...]:
-    """The lexicographically smallest maximum matching of the multigraph with
-    adjacency rows `rows` (a list this call may change) and edge ends `ends`,
-    as edge indices."""
-    n = len(rows)
+def _max_matching(ends, n: int, budget: _Budget) -> tuple[int, ...]:
+    """The lexicographically smallest maximum matching of the multigraph on
+    n vertices with edge ends `ends`, as edge indices."""
+    rows = _rows(ends, n)
     alive = (1 << n) - 1
     mate = [-1] * n
     size = 0
@@ -856,15 +862,8 @@ def matching_number(x: Instance, mode: str = "branch_and_bound",
             lambda combo: _union(masks, combo).bit_count() == sum(
                 masks[i].bit_count() for i in combo), budget)
         return Certificate("nu", len(witness), witness, mode, budget.nodes)
-    rows = _graph_rows(x)  # None only for a hypergraph
-    if rows is not None:
-        ends = x.edges() if isinstance(x, Graph) else x.vertex_lists()
-        witness = _max_matching(list(rows), ends, budget)
-    elif (kernel := _matching_kernel(x)) is not None:
-        ends, n = kernel
-        witness = _max_matching(_rows(n, ends), ends, budget)
-    else:
-        witness = _max_packing(x, budget)
+    kernel = _graph_ends(x) or _matching_kernel(x)
+    witness = _max_packing(x, budget) if kernel is None else _max_matching(*kernel, budget)
     return Certificate("nu", len(witness), witness, mode, budget.nodes,
                        budget.witness_nodes)
 

@@ -313,7 +313,8 @@ class TestExitCodes:
                                "--family", "complete_minus_clique:4,2",
                                "--node-cap", "3")
         assert code == 3 and "timeout" in err
-        assert "(nodes: 4, best bound: 6)" in err  # the greedy cover's size
+        # n minus the degree-order greedy independent set
+        assert "(nodes: 4, best bound: 6)" in err
 
     @pytest.mark.parametrize("suite", ["hereditary", "extremal-gamma1",
                                        "extremal-gamma0", "nonextremal", "all"])

@@ -45,6 +45,9 @@ CASES = [
     # 2,016 hyperedges, all of them in the json run's property checks
     ("power --family complete:64 --k 8 --s 1",
      {"text": "167adce14891f536", "json": "a90f9d5343e9b509", "csv": "167adce14891f536"}),
+    # 2,016 hyperedges of 20 vertices each
+    ("power --family complete:64 --k 20 --s 1",
+     {"text": "d83de4cda88cd964", "json": "ee76d7feb617c0f3", "csv": "d83de4cda88cd964"}),
     ("invariant --param gamma --family cycle:7",
      {"text": "e4cc5aee011520b7", "json": "311e659a973eac10", "csv": "e4cc5aee011520b7"}),
     ("invariant --param nu --family cp_vee_cq:4,3",

@@ -50,6 +50,17 @@ class TestGraphCore:
         assert not g.is_connected()
         assert cycle(6).is_connected()
 
+    def test_edges_in_pair_order(self):
+        # sorted (u, v) pairs, u < v, in the order of u and then v; up to 64
+        # vertices, so the top bit of a row is walked too
+        rng = random.Random(3333)
+        graphs = [Graph(0, []), Graph(1, [0]), complete(64)]
+        graphs += [random_graph(rng, rng.randint(2, 64), rng.choice([0.05, 0.1, 0.5]))
+                   for _ in range(60)]
+        for g in graphs:
+            assert g.edges() == [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                                 if g.has_edge(u, v)]
+
     def test_induced_subgraph(self):
         g = cycle(5)
         sub = g.induced_subgraph([0, 1, 2])

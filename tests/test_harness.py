@@ -23,6 +23,7 @@ from dilations.harness import (SUITE_SCALES, SUITES, FailureRecord,
                                crosscheck_extremal_gamma0,
                                crosscheck_extremal_gamma1, verify_counterexample,
                                run_suites, verify_hereditary, verify_nonextremal)
+from dilations.graphs import Graph, complete, cycle
 from dilations.hypergraphs import Hypergraph
 from dilations.families import _gamma1_kind, in_family_g2b, union_family_member
 from dilations.invariants import DEFAULT_NODE_CAP, check_certificate, domination_number
@@ -214,6 +215,20 @@ _FAILING_SUITES = pytest.mark.parametrize("suite, scales, name, fake", [
         "counterexample"])
 
 
+class TestHereditaryRecords:
+    @pytest.mark.parametrize("g", [complete(4), cycle(5)], ids=["K4", "C5"])
+    def test_only_failing_hosts_carry_certificates(self, monkeypatch, g):
+        # a host's certificates join the record when its own checks fail,
+        # not when an earlier host of the same task failed
+        monkeypatch.setattr(harness, "classify_dilation", _swap_gamma_classes)
+        shared = harness._Shared(g, DEFAULT_NODE_CAP, True)
+        checks, certs, _soft = harness._hereditary_checks(shared, 7, 1)
+        failed = {c["check"].split(":")[0] for c in checks}
+        assert failed
+        assert {key.split(":")[0] for key in certs if ":" in key} == failed
+        assert set(shared.hosts) - {"G"} - failed  # some host passed
+
+
 class TestWitnessRetry:
     # The worker's first pass skips the gamma/tau witness passes and runs a
     # failing task again with them, so its record is what a single run with
@@ -318,18 +333,22 @@ class TestSharedSweep:
         assert [r.suite for r in reports] == sorted(SUITES)
 
     def test_shared_solves_run_once_per_graph(self, monkeypatch):
-        # solves are counted per graph task and per instance, by content; a
-        # sampled host of hereditary may equal G's hypergraph or a power by
-        # content, so solves of the sampled hosts are left out
+        # solves are counted per graph task and per instance: G's against the
+        # Graph it is, a hypergraph's by content. A sampled host of hereditary
+        # may equal a power by content, so solves of the sampled hosts are
+        # left out
         calls = Counter()
         needed = {}
         current = []
         sampled = []
 
+        def content(x):
+            return x if isinstance(x, Graph) else (x.m, tuple(x.edge_masks))
+
         def counted(solve, parameter):
             def wrapped(h, *args, **kwargs):
                 if current and not any(h is s for s in sampled):
-                    calls[current[-1], parameter, h.m, tuple(h.edge_masks)] += 1
+                    calls[current[-1], parameter, content(h)] += 1
                 return solve(h, *args, **kwargs)
             return wrapped
 
@@ -344,8 +363,7 @@ class TestSharedSweep:
             g, key, suites = task[:3]
             if suites[0][0] in ("nonextremal", "counterexample"):
                 return worker(task)  # one power each, nothing shared
-            needed[key] = [Hypergraph.from_graph(g), generalized_power(g, 4, 1)[0],
-                           generalized_power(g, 4, 2)[0]]
+            needed[key] = [g, generalized_power(g, 4, 1)[0], generalized_power(g, 4, 2)[0]]
             current.append(key)
             try:
                 return worker(task)
@@ -364,10 +382,10 @@ class TestSharedSweep:
         assert len(needed) == 30  # connected graphs on 2 to 5 vertices
         for key, hosts in needed.items():
             # one solve per host and parameter; the two powers of K2 are equal
-            per_content = Counter((h.m, tuple(h.edge_masks)) for h in hosts)
-            for content, count in per_content.items():
+            per_content = Counter(content(h) for h in hosts)
+            for host, count in per_content.items():
                 for parameter in ("gamma", "nu", "tau"):
-                    assert calls[(key, parameter, *content)] == count, (key, parameter)
+                    assert calls[key, parameter, host] == count, (key, parameter)
 
 
 class TestProcessPool:

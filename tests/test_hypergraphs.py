@@ -56,13 +56,31 @@ class TestHypergraph:
         assert fresh == h and hash(fresh) == hash(h)
         assert fresh.incidence() == incidence
 
-    def test_vertex_lists_built_once(self):
-        h = Hypergraph.from_edge_sets(5, [[3, 0, 2], [4], [0, 2, 3]])
-        lists = h.vertex_lists()
-        assert lists == ((0, 2, 3), (4,), (0, 2, 3))
-        assert h.vertex_lists() is lists
-        fresh = pickle.loads(pickle.dumps(h))
-        assert fresh == h and fresh.vertex_lists() == lists
+    def test_derived_tables_match_the_edge_sets(self):
+        # the incidence table is the one table kept; vertex lists, edge
+        # vertices and neighbourhoods are read off the masks on each call
+        rng = random.Random(3434)
+        cases = [(0, []), (3, []),  # m = 0, and no edges
+                 # repeated edges, a singleton, and vertex 1 isolated
+                 (5, [[3, 0, 2], [4], [0, 2, 3]])]
+        for _ in range(100):
+            m = rng.randint(1, 12)
+            edges = [rng.sample(range(m), rng.randint(1, min(m, 4)))
+                     for _ in range(rng.randint(0, 8))]
+            if edges and rng.random() < 0.3:
+                edges.append(list(rng.choice(edges)))
+            cases.append((m, edges))
+        for m, edges in cases:
+            h = Hypergraph.from_edge_sets(m, edges)
+            sets = h.edge_sets()
+            assert sets == [sorted(e) for e in edges]
+            assert h.vertex_lists() == tuple(tuple(s) for s in sets)
+            assert [h.edge_vertices(i) for i in range(h.edge_count)] == sets
+            assert h.incidence() == tuple(sum(1 << i for i, s in enumerate(sets) if v in s)
+                                          for v in range(m))
+            assert h.closed_neighborhoods() == [
+                1 << v | sum(1 << u for u in range(m) if any(v in s and u in s for s in sets))
+                for v in range(m)]
 
 
 class TestTextFormat:

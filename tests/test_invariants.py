@@ -525,10 +525,9 @@ def _seeded_graphs():
 
 
 class TestGraphInput:
-    # gamma on a Graph reads N[v] from the adjacency rows, and from_graph
-    # fills its vertex lists from the edge pairs; every solve on a Graph must
-    # give the certificate of its hypergraph, node counts included. That
-    # hypergraph is built from the edge sets, so its lists come from its masks.
+    # a Graph is solved from its adjacency rows, and a 2-uniform hypergraph
+    # from rows built off its masks; every solve on a Graph must give the
+    # certificate of its hypergraph, node counts included.
     def test_certificates_match_the_hypergraph(self):
         isolated = 0
         for g in _seeded_graphs():
@@ -539,6 +538,17 @@ class TestGraphInput:
                 assert fn(g, lex_witness=False) == fn(h, lex_witness=False)
             assert matching_number(g) == matching_number(h)
         assert isolated > 20
+
+    def test_connected_graphs_solve_as_their_hypergraphs(self):
+        # the sweeps solve G as the Graph it is, so each certificate must be
+        # its hypergraph's, node counts and witness nodes included
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                h = Hypergraph.from_graph(g)
+                for fn in (domination_number, transversal_number):
+                    assert fn(g) == fn(h)
+                    assert fn(g, lex_witness=False) == fn(h, lex_witness=False)
+                assert matching_number(g) == matching_number(h)
 
     def test_vertex_lists_are_those_of_the_masks(self):
         for g in _seeded_graphs():
